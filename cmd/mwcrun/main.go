@@ -33,11 +33,11 @@ import (
 	"congestmwc/internal/agarwal"
 	"congestmwc/internal/congest"
 	"congestmwc/internal/dirmwc"
-	"congestmwc/internal/girthapx"
 	"congestmwc/internal/dot"
 	"congestmwc/internal/exact"
 	"congestmwc/internal/gen"
 	"congestmwc/internal/girth"
+	"congestmwc/internal/girthapx"
 	"congestmwc/internal/graph"
 	"congestmwc/internal/graphio"
 	"congestmwc/internal/ksssp"
@@ -166,7 +166,7 @@ func run(args []string) error {
 	}
 	net.SetContext(ctx)
 	// Assemble the observer stack the flags ask for.
-	var observers congest.Multi
+	var observers []congest.Observer
 	if cfg.traceMsgs > 0 {
 		observers = append(observers, &congest.TraceWriter{W: os.Stdout, MaxMessages: cfg.traceMsgs})
 	}
@@ -189,13 +189,7 @@ func run(args []string) error {
 		traceJSON = &obs.JSONL{W: traceBuf}
 		observers = append(observers, traceJSON)
 	}
-	switch len(observers) {
-	case 0:
-	case 1:
-		net.SetObserver(observers[0])
-	default:
-		net.SetObserver(observers)
-	}
+	net.SetObserver(congest.Multi(observers...))
 	if cfg.cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(cfg.cpuProfile)
 		if err != nil {

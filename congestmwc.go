@@ -192,7 +192,7 @@ func (o Options) Validate() error {
 }
 
 // WithObserver returns a copy of o that installs obs as the simulation
-// observer of the run. The observer interfaces live in internal/congest, so
+// observer of the run. The Observer interface lives in internal/congest, so
 // this extension point is usable only from inside the module (the jobs
 // service and the CLIs attach internal/obs collectors through it); the
 // public surface of Options is unchanged.
@@ -272,9 +272,7 @@ func ApproxMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error) 
 		return nil, fmt.Errorf("congestmwc: %w", err)
 	}
 	net.SetContext(ctx)
-	if opts.observer != nil {
-		net.SetObserver(opts.observer)
-	}
+	net.SetObserver(opts.observer)
 	switch g.class {
 	case Undirected:
 		res, err := girth.Run(net, girth.Spec{SampleFactor: opts.SampleFactor})
@@ -322,9 +320,7 @@ func ExactMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("congestmwc: %w", err)
 	}
 	net.SetContext(ctx)
-	if opts.observer != nil {
-		net.SetObserver(opts.observer)
-	}
+	net.SetObserver(opts.observer)
 	res, err := exact.MWC(net)
 	if err != nil {
 		return partialOnCancel(net, err)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 
+	"congestmwc/internal/httpx"
 	"congestmwc/internal/jobs"
 )
 
@@ -49,19 +50,19 @@ func (r *Router) Handler() http.Handler {
 		dec.DisallowUnknownFields()
 		var spec jobs.Spec
 		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
 			return
 		}
 		r.submissions.Add(1)
 		info, err := spec.Inspect(r.cfg.MaxN)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpx.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		target, ok := r.ring.LookupHealthy(info.Key, r.isReady)
 		if !ok {
 			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "no ready workers")
+			httpx.Error(w, http.StatusServiceUnavailable, "no ready workers")
 			return
 		}
 		est := r.est.Estimate(info)
@@ -83,19 +84,19 @@ func (r *Router) Handler() http.Handler {
 		dec.DisallowUnknownFields()
 		var breq jobs.BatchRequest
 		if err := dec.Decode(&breq); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid batch: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid batch: "+err.Error())
 			return
 		}
 		if len(breq.Jobs) == 0 {
-			httpError(w, http.StatusBadRequest, "empty batch: want {\"jobs\": [spec, ...]}")
+			httpx.Error(w, http.StatusBadRequest, "empty batch: want {\"jobs\": [spec, ...]}")
 			return
 		}
 		if len(breq.Jobs) > maxBatch {
-			httpError(w, http.StatusRequestEntityTooLarge,
+			httpx.Error(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("batch of %d jobs exceeds the %d-item limit", len(breq.Jobs), maxBatch))
 			return
 		}
-		writeJSON(w, http.StatusOK, r.submitBatch(req, breq.Jobs))
+		httpx.WriteJSON(w, http.StatusOK, r.submitBatch(req, breq.Jobs))
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
 		all := make([]json.RawMessage, 0, 64)
@@ -115,7 +116,7 @@ func (r *Router) Handler() http.Handler {
 			}
 			all = append(all, page.Jobs...)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": all})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"jobs": all})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, req *http.Request) {
 		r.proxyJob(w, req, req.PathValue("id"))
@@ -133,7 +134,7 @@ func (r *Router) Handler() http.Handler {
 		dec.DisallowUnknownFields()
 		var spec jobs.Spec
 		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid session spec: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid session spec: "+err.Error())
 			return
 		}
 		// Sessions place like jobs: by the canonical key of the initial
@@ -142,32 +143,32 @@ func (r *Router) Handler() http.Handler {
 		// worker pool and admission queue.
 		info, err := spec.Inspect(r.cfg.MaxN)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpx.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		target, ok := r.ring.LookupHealthy(info.Key, r.isReady)
 		if !ok {
 			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "no ready workers")
+			httpx.Error(w, http.StatusServiceUnavailable, "no ready workers")
 			return
 		}
 		r.sessions.Add(1)
 		wk := r.workers[target]
 		body, err := json.Marshal(spec)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			httpx.Error(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		out, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
 			wk.cfg.URL+"/v1/graphs", bytes.NewReader(body))
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			httpx.Error(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		out.Header.Set("Content-Type", "application/json")
 		resp, err := r.client.Do(out)
 		if err != nil {
-			httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+			httpx.Error(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 			return
 		}
 		defer resp.Body.Close()
@@ -195,7 +196,7 @@ func (r *Router) Handler() http.Handler {
 			}
 			all = append(all, page.Graphs...)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"graphs": all})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"graphs": all})
 	})
 	proxyGraph := func(w http.ResponseWriter, req *http.Request, suffix string) {
 		r.proxySession(w, req, req.PathValue("id"), suffix, maxBody)
@@ -217,15 +218,15 @@ func (r *Router) Handler() http.Handler {
 		r.proxyEvents(w, req, id, "/v1/graphs/"+id+"/events")
 	})
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.topology())
+		httpx.WriteJSON(w, http.StatusOK, r.topology())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
 		if !r.anyReady() {
 			w.Header().Set("Retry-After", "5")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "workers": 0})
+			httpx.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "workers": 0})
 			return
 		}
 		n := 0
@@ -234,7 +235,7 @@ func (r *Router) Handler() http.Handler {
 				n++
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "workers": n})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "workers": n})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -248,19 +249,19 @@ func (r *Router) Handler() http.Handler {
 func (r *Router) forwardSubmit(w http.ResponseWriter, req *http.Request, wk *worker, spec jobs.Spec) (string, int) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 		return "", http.StatusInternalServerError
 	}
 	out, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
 		wk.cfg.URL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 		return "", http.StatusInternalServerError
 	}
 	out.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		httpx.Error(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return "", http.StatusBadGateway
 	}
 	defer resp.Body.Close()
@@ -268,7 +269,7 @@ func (r *Router) forwardSubmit(w http.ResponseWriter, req *http.Request, wk *wor
 	wk.placed.Add(1)
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		httpx.Error(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return "", http.StatusBadGateway
 	}
 	copyHeader(w, resp, "Content-Type", "Retry-After")
@@ -365,7 +366,7 @@ func (r *Router) submitBatch(req *http.Request, specs []jobs.Spec) jobs.BatchRes
 func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, id string) {
 	wk := r.ownerOf(id)
 	if wk == nil {
-		httpError(w, http.StatusNotFound,
+		httpx.Error(w, http.StatusNotFound,
 			fmt.Sprintf("job %q: ID names no known shard (known: %v)", id, r.ring.Members()))
 		return
 	}
@@ -375,12 +376,12 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, id string) {
 	}
 	out, err := http.NewRequestWithContext(req.Context(), req.Method, url, nil)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		httpx.Error(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -395,7 +396,7 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, id string) {
 func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suffix string, maxBody int64) {
 	wk := r.ownerOf(id)
 	if wk == nil {
-		httpError(w, http.StatusNotFound,
+		httpx.Error(w, http.StatusNotFound,
 			fmt.Sprintf("session %q: ID names no known shard (known: %v)", id, r.ring.Members()))
 		return
 	}
@@ -409,7 +410,7 @@ func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suff
 	}
 	out, err := http.NewRequestWithContext(req.Context(), req.Method, url, body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if ct := req.Header.Get("Content-Type"); ct != "" {
@@ -417,7 +418,7 @@ func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suff
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		httpx.Error(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -440,18 +441,18 @@ func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suff
 func (r *Router) proxyEvents(w http.ResponseWriter, req *http.Request, id, path string) {
 	wk := r.ownerOf(id)
 	if wk == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("%q: ID names no known shard", id))
+		httpx.Error(w, http.StatusNotFound, fmt.Sprintf("%q: ID names no known shard", id))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
+		httpx.Error(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	out, err := http.NewRequestWithContext(req.Context(), http.MethodGet,
 		wk.cfg.URL+path, nil)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	out.Header.Set("Accept", "text/event-stream")
@@ -460,7 +461,7 @@ func (r *Router) proxyEvents(w http.ResponseWriter, req *http.Request, id, path 
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		httpx.Error(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -545,25 +546,20 @@ func writeQoSError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrTenantQuota), errors.Is(err, ErrCapacity):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		httpx.Error(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client hung up while queued; nobody is listening, but end the
 		// handler with a meaningful status anyway.
-		httpError(w, 499, err.Error())
+		httpx.Error(w, 499, err.Error())
 	default:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
 // writeMetrics renders the router's own metrics in the Prometheus text
 // exposition format (worker health, placement, hand-off and QoS).
 func (r *Router) writeMetrics(w io.Writer) {
-	g := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	c := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
+	g, c := httpx.MetricFuncs(w)
 	ready := 0
 	for _, wk := range r.workers {
 		if wk.ready.Load() {
@@ -605,18 +601,6 @@ func (r *Router) writeMetrics(w io.Writer) {
 	c("mwcrouter_qos_waited_total", "Submissions that had to queue for budget.", qm.Waited)
 	c("mwcrouter_qos_quota_rejected_total", "Submissions rejected by a tenant quota.", qm.QuotaRejected)
 	c("mwcrouter_qos_capacity_bounced_total", "Batch items bounced by the full budget.", qm.CapacityBounced)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
 }
 
 func copyHeader(w http.ResponseWriter, resp *http.Response, keys ...string) {

@@ -68,6 +68,28 @@ func TestTransportRoundZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTransportRoundZeroAllocObserved repeats the zero-allocation check
+// with an observer that wants every kind, messages included: dispatch
+// reuses the network's one Event value, so observing a round must not
+// allocate either.
+func TestTransportRoundZeroAllocObserved(t *testing.T) {
+	net := newPingPongNet(t, 16, Options{Seed: 1})
+	rec := &recorder{mask: AllEvents}
+	net.SetObserver(rec)
+	for i := 0; i < 64; i++ {
+		net.runRound(net.now + 1)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		net.runRound(net.now + 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state observed round allocates: %v allocs/round, want 0", allocs)
+	}
+	if rec.counts[KindMessage] == 0 || rec.counts[KindRoundEnd] == 0 {
+		t.Fatalf("observer saw no traffic: %v", rec.counts)
+	}
+}
+
 // BenchmarkTransportRound measures the per-round cost of the transport and
 // engine machinery alone (trivial handlers, constant traffic). Run with
 // -benchmem: allocs/op must be 0.

@@ -18,13 +18,13 @@ type cancelAtObserver struct {
 	cancel context.CancelFunc
 }
 
-func (o *cancelAtObserver) OnRound(round int) {
-	if round >= o.k {
+func (o *cancelAtObserver) Wants() Mask { return MaskOf(KindRoundStart) }
+
+func (o *cancelAtObserver) Observe(ev *Event) {
+	if ev.Round >= o.k {
 		o.cancel()
 	}
 }
-
-func (o *cancelAtObserver) OnMessage(round, from, to int, m Msg) {}
 
 // runCanceledChatter starts an endless chatter run that is canceled at
 // round k and returns the rounds consumed plus the run error.

@@ -22,7 +22,7 @@
 // per-receiver inbox arenas on delivery, so the steady-state delivery path
 // performs no heap allocation; the price is a lifetime contract — a
 // delivered Msg.Words is valid only inside the Deliver (or
-// Observer.OnMessage) invocation that receives it, and must be copied if
+// Observer.Observe) invocation that receives it, and must be copied if
 // retained (see Msg).
 //
 // # Node programs
@@ -71,6 +71,13 @@
 // proportional to events rather than elapsed rounds. Observers see executed
 // rounds only; the length of the preceding skipped gap is reported in
 // RoundStats.Gap.
+//
+// # Observation
+//
+// One Observer receives the whole event stream as kind-tagged Events (see
+// Kind): run and phase brackets, round starts, message deliveries and
+// per-round totals. The observer's mask of wanted kinds is read once, in
+// SetObserver, and each engine hook costs one mask test when unwanted.
 package congest
 
 import (
@@ -100,9 +107,9 @@ var (
 // On Send the payload is copied into the sending link's arena, so the
 // sender keeps ownership of Words. On delivery, the payload is copied again
 // into the receiving node's inbox arena and Words is a view into it: valid
-// only for the duration of the Deliver invocation (and of a synchronous
-// Observer.OnMessage callback). Handlers that retain a payload beyond the
-// handler must copy it.
+// only for the duration of the Deliver invocation (and of the synchronous
+// Observer.Observe call for its KindMessage event). Handlers that retain a
+// payload beyond the handler must copy it.
 type Msg struct {
 	Tag   int64
 	Words []int64
@@ -200,12 +207,10 @@ type Network struct {
 	ctx  context.Context // abort signal installed via SetContext (may be nil)
 	done <-chan struct{} // ctx.Done(), cached; nil when no context is set
 
-	obs      Observer
-	msgObs   Observer      // obs, or nil when its MessageFilter declines messages
-	roundObs RoundObserver // obs's optional extensions, resolved in SetObserver
-	phaseObs PhaseObserver
-	runObs   RunObserver
-	phases   []string // stack of open phase names (BeginPhase/EndPhase)
+	obs    Observer
+	want   Mask     // obs.Wants(), read once in SetObserver; 0 without an observer
+	ev     Event    // the one Event value every dispatch reuses
+	phases []string // stack of open phase names (BeginPhase/EndPhase)
 }
 
 // NewNetwork validates connectivity and builds the network.

@@ -415,21 +415,22 @@ func TestObserverSeesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counter CountingObserver
-	net.SetObserver(&counter)
+	rec := &recorder{mask: AllEvents}
+	net.SetObserver(rec)
 	p := newFlood(5)
 	if _, err := net.Run(progsFor(5, p), 0); err != nil {
 		t.Fatal(err)
 	}
 	s := net.Stats()
-	if counter.Messages != s.Messages {
-		t.Errorf("observer saw %d messages, stats say %d", counter.Messages, s.Messages)
+	if rec.counts[KindMessage] != s.Messages {
+		t.Errorf("observer saw %d messages, stats say %d", rec.counts[KindMessage], s.Messages)
 	}
-	if counter.Rounds != s.Rounds {
-		t.Errorf("observer saw %d rounds, stats say %d", counter.Rounds, s.Rounds)
+	if rec.counts[KindRoundStart] != s.Rounds || rec.rounds != s.Rounds {
+		t.Errorf("observer saw %d executed rounds (%d with gaps), stats say %d",
+			rec.counts[KindRoundStart], rec.rounds, s.Rounds)
 	}
-	if counter.PerTag[1] != s.Messages {
-		t.Errorf("per-tag count %d, want %d", counter.PerTag[1], s.Messages)
+	if rec.perTag[1] != s.Messages {
+		t.Errorf("per-tag count %d, want %d", rec.perTag[1], s.Messages)
 	}
 }
 

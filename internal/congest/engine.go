@@ -9,7 +9,7 @@ import "fmt"
 // node's per-round scratch (wake-up requests, touched links) into a
 // per-worker roundScratch as they go — sharded collection, merged by
 // afterHandlers at the round barrier. Everything else about a round —
-// transmission, wake-up merging, observer callbacks — is engine-independent
+// transmission, wake-up merging, observer events — is engine-independent
 // and lives in the run loop below, which is why both engines produce
 // bit-identical event streams.
 type engine interface {
@@ -83,18 +83,14 @@ func (net *Network) Run(progs []Program, budget int) (int, error) {
 		budget = 1000*n + 1_000_000
 	}
 	start := net.now
-	if net.runObs != nil {
-		net.runObs.OnRunStart(net.now)
-	}
+	net.emit(KindRunStart)
 	for v, st := range net.nodes {
 		st.program = progs[v]
 		st.inbox = st.inbox[:0]
 		st.inWords = st.inWords[:0]
 	}
 	if net.canceled() {
-		if net.runObs != nil {
-			net.runObs.OnRunEnd(net.now)
-		}
+		net.emit(KindRunEnd)
 		return 0, net.cancelErr(start)
 	}
 	// Init phase: local computation before round 1 of this run; sends made
@@ -106,9 +102,7 @@ func (net *Network) Run(progs []Program, budget int) (int, error) {
 	// wake-ups, the loop below never runs, so report the cancellation here
 	// rather than returning nil over a partially initialized network.
 	if net.canceled() {
-		if net.runObs != nil {
-			net.runObs.OnRunEnd(net.now)
-		}
+		net.emit(KindRunEnd)
 		return net.now - start, net.cancelErr(start)
 	}
 
@@ -119,9 +113,7 @@ func (net *Network) Run(progs []Program, budget int) (int, error) {
 		// Stats charge only executed rounds — the gap the scheduler would
 		// have skipped to reach the next event is never added.
 		if net.canceled() {
-			if net.runObs != nil {
-				net.runObs.OnRunEnd(net.now)
-			}
+			net.emit(KindRunEnd)
 			return net.now - start, net.cancelErr(start)
 		}
 		next := net.cal.next()
@@ -141,9 +133,7 @@ func (net *Network) Run(progs []Program, budget int) (int, error) {
 				// iteration would have.
 				net.runRound(start + budget)
 			}
-			if net.runObs != nil {
-				net.runObs.OnRunEnd(net.now)
-			}
+			net.emit(KindRunEnd)
 			return net.now - start, fmt.Errorf("%w (%d rounds)", ErrBudget, budget)
 		}
 		net.runRound(next)
@@ -151,9 +141,7 @@ func (net *Network) Run(progs []Program, budget int) (int, error) {
 	for _, st := range net.nodes {
 		st.program = nil
 	}
-	if net.runObs != nil {
-		net.runObs.OnRunEnd(net.now)
-	}
+	net.emit(KindRunEnd)
 	return net.now - start, nil
 }
 
@@ -172,9 +160,7 @@ func (net *Network) runRound(round int) {
 	gap := round - net.now - 1
 	net.now = round
 	net.stats.Rounds += gap + 1
-	if net.obs != nil {
-		net.obs.OnRound(round)
-	}
+	net.emit(KindRoundStart)
 	before := net.stats
 	buf := net.tr.transmit(net, gap+1, net.activeBuf[:0])
 	if wk := net.cal.take(round); wk != nil {
@@ -198,8 +184,8 @@ func (net *Network) runRound(round int) {
 	net.eng.runHandlers(net, active, false)
 	net.afterHandlers()
 	net.stats.Activations += len(active)
-	if net.roundObs != nil {
-		net.roundObs.OnRoundEnd(round, RoundStats{
+	if net.want.Has(KindRoundEnd) {
+		net.ev = Event{Kind: KindRoundEnd, Round: round, Stats: RoundStats{
 			Messages:     net.stats.Messages - before.Messages,
 			Words:        net.stats.Words - before.Words,
 			CutWords:     net.stats.CutWords - before.CutWords,
@@ -207,7 +193,8 @@ func (net *Network) runRound(round int) {
 			MaxLinkWords: net.tr.maxLink,
 			MaxQueueLen:  net.tr.maxQueue,
 			Gap:          gap,
-		})
+		}}
+		net.obs.Observe(&net.ev)
 	}
 }
 

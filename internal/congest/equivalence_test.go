@@ -7,31 +7,6 @@ import (
 	"congestmwc/internal/gen"
 )
 
-// streamRecorder serialises every observer event — including all optional
-// extensions — with its full payload, so two engines' streams can be
-// compared verbatim.
-type streamRecorder struct {
-	events []string
-}
-
-func (r *streamRecorder) add(format string, args ...any) {
-	r.events = append(r.events, fmt.Sprintf(format, args...))
-}
-
-func (r *streamRecorder) OnRound(round int) { r.add("round %d", round) }
-func (r *streamRecorder) OnMessage(round, from, to int, m Msg) {
-	r.add("msg r=%d %d->%d tag=%d words=%v", round, from, to, m.Tag, m.Words)
-}
-func (r *streamRecorder) OnRoundEnd(round int, rs RoundStats) {
-	r.add("roundEnd r=%d %+v", round, rs)
-}
-func (r *streamRecorder) OnPhaseBegin(path string, round int) {
-	r.add("phaseBegin %s r=%d", path, round)
-}
-func (r *streamRecorder) OnPhaseEnd(path string, round int) { r.add("phaseEnd %s r=%d", path, round) }
-func (r *streamRecorder) OnRunStart(round int)              { r.add("runStart %d", round) }
-func (r *streamRecorder) OnRunEnd(round int)                { r.add("runEnd %d", round) }
-
 // floodFrom builds per-node programs flooding a 2-word token from root.
 func floodFrom(n, root int) ([]Program, []bool) {
 	heard := make([]bool, n)
@@ -78,7 +53,7 @@ func TestEngineEventStreamEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &streamRecorder{}
+		rec := &recorder{mask: AllEvents, log: true}
 		net.SetObserver(rec)
 		for i, root := range []int{0, g.N() / 2} {
 			net.BeginPhase(fmt.Sprintf("stage-%d", i))

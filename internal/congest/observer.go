@@ -2,28 +2,88 @@ package congest
 
 import "strings"
 
-// Observer receives simulation events. Implementations must be fast; the
-// observer runs synchronously inside the round loop (message events are
-// emitted from the single-threaded transmit phase, so no locking is needed
-// even under the parallel engine, and both engines produce the identical
-// event stream).
-//
-// Observers may additionally implement any of the optional extension
-// interfaces RoundObserver, PhaseObserver and RunObserver; the network
-// detects them once in SetObserver and invokes them with no per-event
-// type assertions.
-type Observer interface {
-	// OnRound fires at the start of every executed round, before
+// Kind tags a simulation Event.
+type Kind uint8
+
+// Event kinds, in the order they nest: a run brackets rounds, phases
+// bracket runs, and each executed round is a RoundStart, its Message
+// deliveries, then a RoundEnd.
+const (
+	// KindRunStart / KindRunEnd bracket each Network.Run call. RunEnd
+	// fires on quiescence, cancellation and budget exhaustion alike, so
+	// buffering observers can flush.
+	KindRunStart Kind = iota
+	KindRunEnd
+	// KindPhaseBegin / KindPhaseEnd are the spans opened and closed by
+	// Network.BeginPhase / Network.EndPhase; Event.Phase carries the path.
+	KindPhaseBegin
+	KindPhaseEnd
+	// KindRoundStart fires at the start of every executed round, before
 	// deliveries. Empty rounds skipped by the event-driven scheduler fire
-	// no callback; their count reaches RoundObservers as RoundStats.Gap.
-	OnRound(round int)
-	// OnMessage fires for every delivered message.
-	OnMessage(round, from, to int, m Msg)
+	// nothing; their count reaches KindRoundEnd as RoundStats.Gap.
+	KindRoundStart
+	// KindMessage fires for every delivered message (Event.From, To, Msg).
+	KindMessage
+	// KindRoundEnd fires once per executed round after all deliveries and
+	// handler invocations, carrying the round's totals in Event.Stats.
+	KindRoundEnd
+
+	numKinds
+)
+
+// Mask is a set of event kinds.
+type Mask uint8
+
+// AllEvents is the mask of every kind.
+const AllEvents Mask = 1<<numKinds - 1
+
+// MaskOf returns the mask holding exactly the given kinds.
+func MaskOf(kinds ...Kind) Mask {
+	var m Mask
+	for _, k := range kinds {
+		m |= 1 << k
+	}
+	return m
 }
 
-// RoundStats are the totals of one synchronous round, handed to a
-// RoundObserver after the round's handlers finish. They are per-round
-// deltas, so collectors do not have to diff cumulative Stats themselves.
+// Has reports whether k is in the mask.
+func (m Mask) Has(k Kind) bool { return m&(1<<k) != 0 }
+
+// Event is one simulation event. Only the fields of its Kind are set:
+// Phase for phase events; From, To and Msg for KindMessage; Stats for
+// KindRoundEnd. Round is the simulated round the event refers to.
+//
+// The network reuses one Event value for every dispatch, so an observer
+// must not retain the pointer (or, for messages, Msg.Words) past its
+// Observe call; copy what it needs.
+type Event struct {
+	Kind  Kind
+	Round int
+	// Phase is the "/"-joined stack of open phase names, innermost last.
+	Phase    string
+	From, To int
+	Msg      Msg
+	Stats    RoundStats
+}
+
+// Observer receives simulation events. Observe runs synchronously inside
+// the round loop, so implementations must be fast; message events come
+// from the single-threaded transmit phase, so no locking is needed even
+// under the parallel engine, and both engines produce the identical event
+// stream.
+//
+// Wants is read once, in SetObserver: the network dispatches only the
+// kinds in the mask, so an observer that leaves out KindMessage costs
+// nothing on the per-message hot path. Configure an observer before
+// installing it; a mask that changes afterwards is not seen.
+type Observer interface {
+	Wants() Mask
+	Observe(ev *Event)
+}
+
+// RoundStats are the totals of one synchronous round, carried by the
+// KindRoundEnd event. They are per-round deltas, so collectors do not have
+// to diff cumulative Stats themselves.
 type RoundStats struct {
 	// Messages and Words delivered this round.
 	Messages int
@@ -46,61 +106,46 @@ type RoundStats struct {
 	Gap int
 }
 
-// RoundObserver is an optional Observer extension: OnRoundEnd fires once
-// per round after all deliveries and handler invocations, carrying the
-// round's totals.
-type RoundObserver interface {
-	OnRoundEnd(round int, rs RoundStats)
-}
-
-// PhaseObserver is an optional Observer extension receiving the phase
-// spans opened and closed via Network.BeginPhase / Network.EndPhase.
-// path is the "/"-joined stack of open phase names (innermost last).
-type PhaseObserver interface {
-	OnPhaseBegin(path string, round int)
-	OnPhaseEnd(path string, round int)
-}
-
-// RunObserver is an optional Observer extension bracketing each
-// Network.Run call. OnRunEnd fires on quiescence and on budget
-// exhaustion, so buffering observers can flush.
-type RunObserver interface {
-	OnRunStart(round int)
-	OnRunEnd(round int)
-}
-
-// MessageFilter is an optional Observer extension: an observer whose
-// WantsMessages returns false is never invoked per delivered message,
-// sparing the engine one OnMessage call per message on its hottest path.
-// Round, phase and run events are unaffected. Checked once in
-// SetObserver, so the answer must not change while installed.
-type MessageFilter interface {
-	WantsMessages() bool
-}
-
-// SetObserver installs an observer (nil removes it). Optional extension
-// interfaces are detected here, once.
+// SetObserver installs an observer (nil removes it) and reads its mask.
 func (net *Network) SetObserver(obs Observer) {
-	net.obs = obs
-	net.msgObs = obs
-	if mf, ok := obs.(MessageFilter); ok && !mf.WantsMessages() {
-		net.msgObs = nil
+	net.obs, net.want = obs, 0
+	if obs != nil {
+		net.want = obs.Wants()
 	}
-	net.roundObs, _ = obs.(RoundObserver)
-	net.phaseObs, _ = obs.(PhaseObserver)
-	net.runObs, _ = obs.(RunObserver)
 }
 
-// BeginPhase opens a named phase span: until the matching EndPhase, a
-// PhaseObserver attributes rounds and traffic to this span. Phases nest;
-// the span's path is the "/"-joined stack of open names. Composite
-// algorithms call BeginPhase/EndPhase around their sub-algorithm Run
-// calls, so span boundaries always fall between rounds.
+// emit dispatches a run, round-start or phase event at the current round,
+// if the observer wants its kind. The mask test inlines into the engine's
+// hooks; only wanted events pay for the call.
+func (net *Network) emit(k Kind) {
+	if net.want.Has(k) {
+		net.dispatch(k)
+	}
+}
+
+func (net *Network) dispatch(k Kind) {
+	net.ev = Event{Kind: k, Round: net.now}
+	if k == KindPhaseBegin || k == KindPhaseEnd {
+		net.ev.Phase = net.PhasePath()
+	}
+	net.obs.Observe(&net.ev)
+}
+
+// observeMessage dispatches the delivery of m over l; kept out of line so
+// the transmit loop stays small.
+func (net *Network) observeMessage(l *link, m Msg) {
+	net.ev = Event{Kind: KindMessage, Round: net.now, From: int(l.owner), To: int(l.to), Msg: m}
+	net.obs.Observe(&net.ev)
+}
+
+// BeginPhase opens a named phase span: until the matching EndPhase,
+// observers attribute rounds and traffic to this span. Phases nest; the
+// span's path is the "/"-joined stack of open names. Composite algorithms
+// call BeginPhase/EndPhase around their sub-algorithm Run calls, so span
+// boundaries always fall between rounds.
 func (net *Network) BeginPhase(name string) {
 	net.phases = append(net.phases, name)
-	if net.phaseObs != nil {
-		net.phaseObs.OnPhaseBegin(net.PhasePath(), net.now)
-	}
+	net.emit(KindPhaseBegin)
 }
 
 // EndPhase closes the innermost open phase span. It panics if no phase is
@@ -109,9 +154,7 @@ func (net *Network) EndPhase() {
 	if len(net.phases) == 0 {
 		panic("congest: EndPhase without matching BeginPhase")
 	}
-	if net.phaseObs != nil {
-		net.phaseObs.OnPhaseEnd(net.PhasePath(), net.now)
-	}
+	net.emit(KindPhaseEnd)
 	net.phases = net.phases[:len(net.phases)-1]
 }
 
@@ -119,88 +162,39 @@ func (net *Network) EndPhase() {
 // phase is open).
 func (net *Network) PhasePath() string { return strings.Join(net.phases, "/") }
 
-// Multi fans simulation events out to several observers. Each optional
-// extension event is forwarded to exactly the observers implementing it.
-type Multi []Observer
-
-var (
-	_ Observer      = Multi(nil)
-	_ RoundObserver = Multi(nil)
-	_ PhaseObserver = Multi(nil)
-	_ RunObserver   = Multi(nil)
-	_ MessageFilter = Multi(nil)
-)
-
-// OnRound implements Observer.
-func (m Multi) OnRound(round int) {
-	for _, o := range m {
-		o.OnRound(round)
-	}
-}
-
-// OnMessage implements Observer.
-func (m Multi) OnMessage(round, from, to int, msg Msg) {
-	for _, o := range m {
-		if mf, ok := o.(MessageFilter); ok && !mf.WantsMessages() {
-			continue
-		}
-		o.OnMessage(round, from, to, msg)
-	}
-}
-
-// WantsMessages implements MessageFilter: message events are needed
-// unless every member observer declines them.
-func (m Multi) WantsMessages() bool {
-	for _, o := range m {
-		mf, ok := o.(MessageFilter)
-		if !ok || mf.WantsMessages() {
-			return true
+// Multi combines observers into one that forwards each event to exactly
+// the members whose mask holds its kind. Every member's mask is read once,
+// here. Nil members are dropped; Multi returns nil for no observers and
+// the sole observer itself for one.
+func Multi(obs ...Observer) Observer {
+	m := &multi{}
+	for _, o := range obs {
+		if o != nil {
+			w := o.Wants()
+			m.obs, m.want, m.all = append(m.obs, o), append(m.want, w), m.all|w
 		}
 	}
-	return false
-}
-
-// OnRoundEnd implements RoundObserver.
-func (m Multi) OnRoundEnd(round int, rs RoundStats) {
-	for _, o := range m {
-		if ro, ok := o.(RoundObserver); ok {
-			ro.OnRoundEnd(round, rs)
-		}
+	switch len(m.obs) {
+	case 0:
+		return nil
+	case 1:
+		return m.obs[0]
 	}
+	return m
 }
 
-// OnPhaseBegin implements PhaseObserver.
-func (m Multi) OnPhaseBegin(path string, round int) {
-	for _, o := range m {
-		if po, ok := o.(PhaseObserver); ok {
-			po.OnPhaseBegin(path, round)
-		}
-	}
+type multi struct {
+	obs  []Observer
+	want []Mask // want[i] is obs[i].Wants()
+	all  Mask
 }
 
-// OnPhaseEnd implements PhaseObserver.
-func (m Multi) OnPhaseEnd(path string, round int) {
-	for _, o := range m {
-		if po, ok := o.(PhaseObserver); ok {
-			po.OnPhaseEnd(path, round)
-		}
-	}
-}
+func (m *multi) Wants() Mask { return m.all }
 
-// OnRunStart implements RunObserver.
-func (m Multi) OnRunStart(round int) {
-	for _, o := range m {
-		if ro, ok := o.(RunObserver); ok {
-			ro.OnRunStart(round)
-		}
-	}
-}
-
-// OnRunEnd implements RunObserver.
-func (m Multi) OnRunEnd(round int) {
-	for _, o := range m {
-		if ro, ok := o.(RunObserver); ok {
-			ro.OnRunEnd(round)
+func (m *multi) Observe(ev *Event) {
+	for i, o := range m.obs {
+		if m.want[i].Has(ev.Kind) {
+			o.Observe(ev)
 		}
 	}
 }

@@ -146,36 +146,19 @@ func TestRoundSkippingMatchesStepwise(t *testing.T) {
 	}
 }
 
-// gapRecorder sums executed rounds and gap-adjusted rounds from the
-// observer stream.
-type gapRecorder struct {
-	executed int
-	total    int // sum of 1+Gap, must equal Stats.Rounds
-	maxGap   int
-}
-
-func (g *gapRecorder) OnRound(int)                  { g.executed++ }
-func (g *gapRecorder) OnMessage(int, int, int, Msg) {}
-func (g *gapRecorder) OnRoundEnd(_ int, rs RoundStats) {
-	g.total += 1 + rs.Gap
-	if rs.Gap > g.maxGap {
-		g.maxGap = rs.Gap
-	}
-}
-
-// TestGapSemantics pins the observer contract of round skipping: OnRound /
-// OnRoundEnd fire for executed rounds only, RoundStats.Gap accounts for
-// every skipped round (summing 1+Gap reproduces Stats.Rounds), and under
-// Stepwise every round executes with Gap == 0.
+// TestGapSemantics pins the observer contract of round skipping: round
+// start and end events fire for executed rounds only, RoundStats.Gap
+// accounts for every skipped round (summing 1+Gap reproduces Stats.Rounds),
+// and under Stepwise every round executes with Gap == 0.
 func TestGapSemantics(t *testing.T) {
 	const wake = 5000
-	run := func(stepwise bool) (*gapRecorder, Stats) {
+	run := func(stepwise bool) (*recorder, Stats) {
 		g := gen.Ring(4, false, false, 1)
 		net, err := NewNetwork(g, Options{Stepwise: stepwise})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &gapRecorder{}
+		rec := &recorder{mask: MaskOf(KindRoundStart, KindRoundEnd)}
 		net.SetObserver(rec)
 		done := false
 		progs := progsFor(4, Funcs{
@@ -201,11 +184,11 @@ func TestGapSemantics(t *testing.T) {
 	if s.Rounds != wake+1 {
 		t.Fatalf("skipping: %d rounds, want %d", s.Rounds, wake+1)
 	}
-	if rec.total != s.Rounds {
-		t.Errorf("skipping: sum of 1+Gap = %d, want Stats.Rounds %d", rec.total, s.Rounds)
+	if rec.rounds != s.Rounds {
+		t.Errorf("skipping: sum of 1+Gap = %d, want Stats.Rounds %d", rec.rounds, s.Rounds)
 	}
-	if rec.executed != 2 {
-		t.Errorf("skipping: %d executed rounds, want 2 (wake + delivery)", rec.executed)
+	if rec.counts[KindRoundStart] != 2 {
+		t.Errorf("skipping: %d executed rounds, want 2 (wake + delivery)", rec.counts[KindRoundStart])
 	}
 	if rec.maxGap != wake-1 {
 		t.Errorf("skipping: max gap %d, want %d", rec.maxGap, wake-1)
@@ -215,9 +198,9 @@ func TestGapSemantics(t *testing.T) {
 	if sS != s {
 		t.Errorf("stepwise stats %+v != skipping stats %+v", sS, s)
 	}
-	if recS.executed != sS.Rounds || recS.maxGap != 0 {
+	if recS.counts[KindRoundStart] != sS.Rounds || recS.maxGap != 0 {
 		t.Errorf("stepwise: executed %d (want %d), max gap %d (want 0)",
-			recS.executed, sS.Rounds, recS.maxGap)
+			recS.counts[KindRoundStart], sS.Rounds, recS.maxGap)
 	}
 }
 
@@ -232,7 +215,7 @@ func TestBudgetEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &gapRecorder{}
+		rec := &recorder{mask: MaskOf(KindRoundStart, KindRoundEnd)}
 		net.SetObserver(rec)
 		progs := progsFor(3, Funcs{
 			OnInit: func(nd *Node) { nd.WakeAt(1_000_000) },
@@ -246,9 +229,9 @@ func TestBudgetEquivalence(t *testing.T) {
 			t.Errorf("stepwise=%v: consumed %d rounds (stats %d), want %d",
 				stepwise, rounds, net.Stats().Rounds, budget)
 		}
-		if rec.total != budget {
+		if rec.rounds != budget {
 			t.Errorf("stepwise=%v: observer accounted %d rounds, want %d",
-				stepwise, rec.total, budget)
+				stepwise, rec.rounds, budget)
 		}
 	}
 }

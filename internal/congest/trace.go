@@ -15,8 +15,8 @@ import (
 // directly in the trace.
 //
 // MaxMessages bounds the log volume (0 = unlimited); further messages are
-// counted but not printed. At the end of every Run (the writer implements
-// RunObserver) a trailing
+// counted but not printed. At the end of every Run (the writer wants
+// KindRunEnd) a trailing
 //
 //	... 17 messages suppressed
 //
@@ -31,29 +31,24 @@ type TraceWriter struct {
 	reported   int // suppressed messages already accounted for by Flush
 }
 
-var (
-	_ Observer    = (*TraceWriter)(nil)
-	_ RunObserver = (*TraceWriter)(nil)
-)
+var _ Observer = (*TraceWriter)(nil)
 
-// OnRound implements Observer.
-func (t *TraceWriter) OnRound(int) {}
+// Wants implements Observer: deliveries, and run ends for the flush.
+func (t *TraceWriter) Wants() Mask { return MaskOf(KindMessage, KindRunEnd) }
 
-// OnMessage implements Observer.
-func (t *TraceWriter) OnMessage(round, from, to int, m Msg) {
+// Observe implements Observer.
+func (t *TraceWriter) Observe(ev *Event) {
+	if ev.Kind == KindRunEnd {
+		t.Flush()
+		return
+	}
 	if t.MaxMessages > 0 && t.printed >= t.MaxMessages {
 		t.suppressed++
 		return
 	}
 	t.printed++
-	fmt.Fprintf(t.W, "r=%d %d->%d tag=%d size=%d words=%v\n", round, from, to, m.Tag, m.Size(), m.Words)
+	fmt.Fprintf(t.W, "r=%d %d->%d tag=%d size=%d words=%v\n", ev.Round, ev.From, ev.To, ev.Msg.Tag, ev.Msg.Size(), ev.Msg.Words)
 }
-
-// OnRunStart implements RunObserver.
-func (t *TraceWriter) OnRunStart(int) {}
-
-// OnRunEnd implements RunObserver by flushing the suppression accounting.
-func (t *TraceWriter) OnRunEnd(int) { t.Flush() }
 
 // Flush writes a "... N messages suppressed" line covering the messages
 // suppressed since the previous Flush (none is written when nothing new
@@ -67,29 +62,3 @@ func (t *TraceWriter) Flush() {
 
 // Suppressed returns the number of messages dropped by MaxMessages.
 func (t *TraceWriter) Suppressed() int { return t.suppressed }
-
-// CountingObserver tallies events without recording them; useful in tests
-// and for cheap instrumentation. Rounds counts *executed* rounds (OnRound
-// callbacks) — under the event-driven scheduler this excludes skipped empty
-// rounds, so it can be less than Stats.Rounds; use obs.Collector for
-// gap-aware round totals.
-type CountingObserver struct {
-	Rounds   int
-	Messages int
-	// PerTag counts deliveries by message tag.
-	PerTag map[int64]int
-}
-
-var _ Observer = (*CountingObserver)(nil)
-
-// OnRound implements Observer.
-func (c *CountingObserver) OnRound(int) { c.Rounds++ }
-
-// OnMessage implements Observer.
-func (c *CountingObserver) OnMessage(_, _, _ int, m Msg) {
-	c.Messages++
-	if c.PerTag == nil {
-		c.PerTag = make(map[int64]int)
-	}
-	c.PerTag[m.Tag]++
-}

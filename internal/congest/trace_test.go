@@ -1,18 +1,57 @@
 package congest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // Direct unit tests for the bundled observers: TraceWriter's suppression
-// accounting and CountingObserver's tallies, plus the Multi fan-out.
+// accounting and the Multi fan-out, plus the recorder the engine tests
+// observe with.
+
+// recorder is a test Observer wanting the kinds in mask. It counts events
+// by kind and messages by tag, sums 1+Gap over round ends (which must
+// reproduce Stats.Rounds), and with log set keeps every event verbatim.
+type recorder struct {
+	mask   Mask
+	log    bool
+	counts [numKinds]int
+	perTag map[int64]int
+	rounds int
+	maxGap int
+	events []string
+}
+
+func (r *recorder) Wants() Mask { return r.mask }
+
+func (r *recorder) Observe(ev *Event) {
+	r.counts[ev.Kind]++
+	switch ev.Kind {
+	case KindMessage:
+		if r.perTag == nil {
+			r.perTag = make(map[int64]int)
+		}
+		r.perTag[ev.Msg.Tag]++
+	case KindRoundEnd:
+		r.rounds += 1 + ev.Stats.Gap
+		r.maxGap = max(r.maxGap, ev.Stats.Gap)
+	}
+	if r.log {
+		r.events = append(r.events, fmt.Sprintf("%+v", *ev))
+	}
+}
+
+// msgEvent is a KindMessage event from 0 to 1 at round r.
+func msgEvent(r int, m Msg) *Event {
+	return &Event{Kind: KindMessage, Round: r, From: 0, To: 1, Msg: m}
+}
 
 func TestTraceWriterSuppressionAccounting(t *testing.T) {
 	var sb strings.Builder
 	tw := &TraceWriter{W: &sb, MaxMessages: 2}
 	for i := 0; i < 5; i++ {
-		tw.OnMessage(1, 0, 1, Msg{Tag: 9, Words: []int64{int64(i), 3}})
+		tw.Observe(msgEvent(1, Msg{Tag: 9, Words: []int64{int64(i), 3}}))
 	}
 	if got := tw.Suppressed(); got != 3 {
 		t.Fatalf("Suppressed() = %d, want 3", got)
@@ -40,10 +79,10 @@ func TestTraceWriterSuppressionAccounting(t *testing.T) {
 
 	// Further suppressed messages are reported as a delta by the next
 	// run-end notification.
-	tw.OnMessage(2, 1, 0, Msg{Tag: 9})
-	tw.OnRunEnd(2)
+	tw.Observe(msgEvent(2, Msg{Tag: 9}))
+	tw.Observe(&Event{Kind: KindRunEnd, Round: 2})
 	if !strings.HasSuffix(sb.String(), "... 1 messages suppressed\n") {
-		t.Errorf("OnRunEnd did not flush the delta:\n%s", sb.String())
+		t.Errorf("run end did not flush the delta:\n%s", sb.String())
 	}
 	if got := tw.Suppressed(); got != 4 {
 		t.Errorf("Suppressed() = %d, want 4", got)
@@ -54,7 +93,7 @@ func TestTraceWriterUnlimited(t *testing.T) {
 	var sb strings.Builder
 	tw := &TraceWriter{W: &sb}
 	for i := 0; i < 4; i++ {
-		tw.OnMessage(i, 0, 1, Msg{Tag: 1})
+		tw.Observe(msgEvent(i, Msg{Tag: 1}))
 	}
 	tw.Flush()
 	if got := strings.Count(sb.String(), "\n"); got != 4 {
@@ -65,63 +104,41 @@ func TestTraceWriterUnlimited(t *testing.T) {
 	}
 }
 
-func TestCountingObserver(t *testing.T) {
-	var c CountingObserver
-	if c.PerTag != nil {
-		t.Fatal("PerTag should start nil (lazy init)")
-	}
-	c.OnRound(1)
-	c.OnRound(2)
-	c.OnMessage(1, 0, 1, Msg{Tag: 7})
-	c.OnMessage(1, 1, 0, Msg{Tag: 7, Words: []int64{1}})
-	c.OnMessage(2, 0, 1, Msg{Tag: 8})
-	if c.Rounds != 2 || c.Messages != 3 {
-		t.Errorf("Rounds=%d Messages=%d, want 2 and 3", c.Rounds, c.Messages)
-	}
-	if c.PerTag[7] != 2 || c.PerTag[8] != 1 {
-		t.Errorf("PerTag = %v, want {7:2, 8:1}", c.PerTag)
-	}
-}
-
-// extRecorder records every event including all optional extensions.
-type extRecorder struct {
-	events []string
-}
-
-func (r *extRecorder) add(e string)                 { r.events = append(r.events, e) }
-func (r *extRecorder) OnRound(round int)            { r.add("round") }
-func (r *extRecorder) OnMessage(_, _, _ int, _ Msg) { r.add("msg") }
-func (r *extRecorder) OnRoundEnd(int, RoundStats)   { r.add("roundEnd") }
-func (r *extRecorder) OnPhaseBegin(string, int)     { r.add("phaseBegin") }
-func (r *extRecorder) OnPhaseEnd(string, int)       { r.add("phaseEnd") }
-func (r *extRecorder) OnRunStart(int)               { r.add("runStart") }
-func (r *extRecorder) OnRunEnd(int)                 { r.add("runEnd") }
-
 func TestMultiFanOut(t *testing.T) {
-	full := &extRecorder{}
-	base := &CountingObserver{}
-	m := Multi{full, base}
-
-	m.OnRunStart(0)
-	m.OnPhaseBegin("p", 0)
-	m.OnRound(1)
-	m.OnMessage(1, 0, 1, Msg{Tag: 5})
-	m.OnRoundEnd(1, RoundStats{Messages: 1, Words: 1})
-	m.OnPhaseEnd("p", 1)
-	m.OnRunEnd(1)
-
-	want := []string{"runStart", "phaseBegin", "round", "msg", "roundEnd", "phaseEnd", "runEnd"}
-	if len(full.events) != len(want) {
-		t.Fatalf("full recorder saw %v, want %v", full.events, want)
+	full := &recorder{mask: AllEvents, log: true}
+	msgs := &recorder{mask: MaskOf(KindRoundStart, KindMessage)}
+	m := Multi(full, nil, msgs)
+	if got := m.Wants(); got != AllEvents {
+		t.Fatalf("Multi wants %b, want the union %b", got, AllEvents)
 	}
-	for i := range want {
-		if full.events[i] != want[i] {
-			t.Fatalf("full recorder saw %v, want %v", full.events, want)
+	for _, ev := range []Event{
+		{Kind: KindRunStart},
+		{Kind: KindPhaseBegin, Phase: "p"},
+		{Kind: KindRoundStart, Round: 1},
+		{Kind: KindMessage, Round: 1, Msg: Msg{Tag: 5}},
+		{Kind: KindRoundEnd, Round: 1, Stats: RoundStats{Messages: 1, Words: 1}},
+		{Kind: KindPhaseEnd, Round: 1, Phase: "p"},
+		{Kind: KindRunEnd, Round: 1},
+	} {
+		m.Observe(&ev)
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		if full.counts[k] != 1 {
+			t.Errorf("full recorder saw kind %d %d times, want once", k, full.counts[k])
 		}
 	}
-	// The base observer only implements Observer; extension events must not
-	// reach it (and must not panic the fan-out).
-	if base.Rounds != 1 || base.Messages != 1 {
-		t.Errorf("base observer saw Rounds=%d Messages=%d, want 1 and 1", base.Rounds, base.Messages)
+	if len(full.events) != int(numKinds) {
+		t.Errorf("full recorder logged %v", full.events)
+	}
+	// The narrow member is forwarded exactly the kinds in its mask.
+	want := [numKinds]int{KindRoundStart: 1, KindMessage: 1}
+	if msgs.counts != want {
+		t.Errorf("narrow recorder saw %v, want %v", msgs.counts, want)
+	}
+	if Multi() != nil || Multi(nil) != nil {
+		t.Error("Multi of no observers is not nil")
+	}
+	if Multi(msgs) != Observer(msgs) {
+		t.Error("Multi of one observer does not return it")
 	}
 }

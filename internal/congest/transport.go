@@ -88,8 +88,8 @@ type transport struct {
 	nextDelivery int     // earliest completable delivery round; never if idle
 	fresh        []int32 // scratch: this round's newly-touched link IDs
 
-	// Per-round congestion figures, reset by transmit and reported through
-	// RoundObserver.
+	// Per-round congestion figures, reset by transmit and reported in the
+	// round's KindRoundEnd event.
 	maxLink  int // most words delivered over one link this round
 	maxQueue int // longest link backlog left after transmit
 }
@@ -139,8 +139,8 @@ func (tr *transport) transmit(net *Network, elapsed int, buf []int) []int {
 			dst.inWords = append(dst.inWords, l.words[q.off:q.off+q.n]...)
 			m := Msg{Tag: q.tag, Words: dst.inWords[woff:len(dst.inWords):len(dst.inWords)]}
 			dst.inbox = append(dst.inbox, Delivery{From: int(l.owner), Msg: m})
-			if net.msgObs != nil {
-				net.msgObs.OnMessage(net.now, int(l.owner), int(l.to), m)
+			if net.want.Has(KindMessage) {
+				net.observeMessage(l, m)
 			}
 			net.stats.Messages++
 			net.stats.Words += size

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"congestmwc/internal/httpx"
 	"congestmwc/internal/obs"
 )
 
@@ -113,15 +114,15 @@ func NewHandler(s *Service, cfg HandlerConfig) http.Handler {
 		if err := dec.Decode(&spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				httpx.Error(w, http.StatusRequestEntityTooLarge,
 					fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
 			return
 		}
 		if dec.More() {
-			httpError(w, http.StatusBadRequest, "invalid job spec: trailing data after the JSON object")
+			httpx.Error(w, http.StatusBadRequest, "invalid job spec: trailing data after the JSON object")
 			return
 		}
 		j, err := s.Submit(spec)
@@ -135,23 +136,23 @@ func NewHandler(s *Service, cfg HandlerConfig) http.Handler {
 		if err := dec.Decode(&req); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				httpx.Error(w, http.StatusRequestEntityTooLarge,
 					fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, "invalid batch: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid batch: "+err.Error())
 			return
 		}
 		if dec.More() {
-			httpError(w, http.StatusBadRequest, "invalid batch: trailing data after the JSON object")
+			httpx.Error(w, http.StatusBadRequest, "invalid batch: trailing data after the JSON object")
 			return
 		}
 		if len(req.Jobs) == 0 {
-			httpError(w, http.StatusBadRequest, "empty batch: want {\"jobs\": [spec, ...]}")
+			httpx.Error(w, http.StatusBadRequest, "empty batch: want {\"jobs\": [spec, ...]}")
 			return
 		}
 		if len(req.Jobs) > maxBatch {
-			httpError(w, http.StatusRequestEntityTooLarge,
+			httpx.Error(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("batch of %d jobs exceeds the %d-item limit", len(req.Jobs), maxBatch))
 			return
 		}
@@ -181,7 +182,7 @@ func NewHandler(s *Service, cfg HandlerConfig) http.Handler {
 			}
 			resp.Results[i] = item
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("PUT /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
@@ -189,7 +190,7 @@ func NewHandler(s *Service, cfg HandlerConfig) http.Handler {
 		dec.DisallowUnknownFields()
 		var req HandOffRequest
 		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid hand-off request: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid hand-off request: "+err.Error())
 			return
 		}
 		j, err := s.SubmitWithID(r.PathValue("id"), req.Spec, req.Interrupted)
@@ -200,23 +201,23 @@ func NewHandler(s *Service, cfg HandlerConfig) http.Handler {
 		if raw := r.URL.Query().Get("limit"); raw != "" {
 			v, err := strconv.Atoi(raw)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q: not an integer", raw))
+				httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q: not an integer", raw))
 				return
 			}
 			limit = v
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": s.List(limit)})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.List(limit)})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, err := s.Get(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err.Error())
+			httpx.Error(w, http.StatusNotFound, err.Error())
 			return
 		}
 		if raw := r.URL.Query().Get("wait"); raw != "" {
 			d, err := time.ParseDuration(raw)
 			if err != nil || d < 0 {
-				httpError(w, http.StatusBadRequest,
+				httpx.Error(w, http.StatusBadRequest,
 					fmt.Sprintf("invalid wait %q: want a non-negative Go duration like 5s", raw))
 				return
 			}
@@ -228,93 +229,35 @@ func NewHandler(s *Service, cfg HandlerConfig) http.Handler {
 			// Long-poll: block until the job is terminal or the (clamped)
 			// wait elapses; either way the response is the current status.
 			st, _ := j.Wait(ctx)
-			writeJSON(w, http.StatusOK, st)
+			httpx.WriteJSON(w, http.StatusOK, st)
 			return
 		}
-		writeJSON(w, http.StatusOK, j.Status())
+		httpx.WriteJSON(w, http.StatusOK, j.Status())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		j, err := s.Get(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err.Error())
+			httpx.Error(w, http.StatusNotFound, err.Error())
 			return
 		}
 		sub := j.Subscribe(cfg.EventBuffer)
 		if sub == nil {
-			httpError(w, http.StatusConflict,
+			httpx.Error(w, http.StatusConflict,
 				"job event streaming is disabled: start the service with observability on (mwcd -observe)")
 			return
 		}
-		defer sub.Close()
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
-			return
-		}
-		// A reconnecting client (mwctail after a router failover) sends the
-		// SSE Last-Event-ID header; events it already saw — by hub sequence
-		// number — are skipped instead of replayed. Stream IDs are
-		// epoch-tagged ("<epoch>-<seq>", epoch = attempt number): after a
-		// cluster hand-off the successor's hub renumbers from 1 under a
-		// higher epoch, so a resume point from a previous attempt triggers a
-		// full replay instead of silently suppressing the new attempt's
-		// early events. A bare numeric ID (pre-epoch client) counts as
-		// epoch 1.
-		epoch := j.Epoch()
-		var after uint64
-		if raw := r.Header.Get("Last-Event-ID"); raw != "" {
-			if ce, cs, ok := obs.ParseSSEID(raw); ok && ce == epoch {
-				after = cs
-			}
-		}
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		h.Set("X-Accel-Buffering", "no") // keep reverse proxies from buffering the stream
-		w.WriteHeader(http.StatusOK)
-		fl.Flush()
-
-		hb := time.NewTicker(heartbeat)
-		defer hb.Stop()
-		for {
-			select {
-			case ev, open := <-sub.Events():
-				if !open {
-					// Terminal state reached: the hub closed after its final
-					// event. Report any backpressure loss, then end cleanly.
-					fmt.Fprintf(w, ": stream closed (dropped %d events)\n\n", sub.Dropped())
-					fl.Flush()
-					return
-				}
-				if ev.Seq <= after {
-					continue // already delivered before the reconnect
-				}
-				if err := writeSSE(w, epoch, ev); err != nil {
-					return // client gone mid-write
-				}
-				fl.Flush()
-			case <-hb.C:
-				fmt.Fprint(w, ": heartbeat\n\n")
-				fl.Flush()
-			case <-r.Context().Done():
-				return // client disconnected
-			case <-s.Draining():
-				fmt.Fprint(w, ": server draining\n\n")
-				fl.Flush()
-				return
-			}
-		}
+		obs.ServeSSE(w, r, sub, j.Epoch(), heartbeat, s.Draining())
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Cancel(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err.Error())
+			httpx.Error(w, http.StatusNotFound, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		httpx.WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness flips to 503 the moment SignalDrain fires — before the
@@ -324,10 +267,10 @@ func NewHandler(s *Service, cfg HandlerConfig) http.Handler {
 		select {
 		case <-s.Draining():
 			w.Header().Set("Retry-After", "5")
-			writeJSON(w, http.StatusServiceUnavailable,
+			httpx.WriteJSON(w, http.StatusServiceUnavailable,
 				map[string]any{"ready": false, "draining": true, "shard": cfg.ShardID})
 		default:
-			writeJSON(w, http.StatusOK, map[string]any{"ready": true, "shard": cfg.ShardID})
+			httpx.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "shard": cfg.ShardID})
 		}
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -346,57 +289,28 @@ func writeSubmitResult(w http.ResponseWriter, j *Job, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		httpx.Error(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		httpx.Error(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		httpx.Error(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpx.Error(w, http.StatusBadRequest, err.Error())
 	default:
 		st := j.Status()
 		code := http.StatusAccepted
 		if st.State.Terminal() {
 			code = http.StatusOK // answered from the result cache
 		}
-		writeJSON(w, code, st)
+		httpx.WriteJSON(w, code, st)
 	}
-}
-
-// writeSSE renders one event in the Server-Sent Events wire format: the
-// epoch-tagged hub sequence number ("<epoch>-<seq>") as the SSE id, the
-// event type, and the obs.Event as a single-line JSON data payload.
-func writeSSE(w io.Writer, epoch uint64, ev obs.Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %s\nevent: %s\ndata: %s\n\n", obs.FormatSSEID(epoch, ev.Seq), ev.Type, data)
-	return err
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
 }
 
 // WriteMetrics renders the metrics snapshot in the Prometheus text
 // exposition format.
 func WriteMetrics(w io.Writer, m Metrics) {
-	g := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
-	}
-	c := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, value)
-	}
+	g, c := httpx.MetricFuncs(w)
 	fnum := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 	h := func(name, help string, hs HistogramSnapshot) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)

@@ -782,7 +782,7 @@ func (s *Service) runJob(j *Job) {
 		// memory per job. The job's event hub rides along as an observer
 		// tee: subscribers get the same round/phase/run stream live.
 		col = &obs.Collector{NoSeries: true, NoPerTag: true, NoPerLink: true, Wall: true}
-		opts = opts.WithObserver(congest.Multi{col, j.stream})
+		opts = opts.WithObserver(congest.Multi(col, j.stream))
 	}
 	j.mu.Unlock()
 	j.publishState(StateRunning, "")
@@ -796,6 +796,23 @@ func (s *Service) runJob(j *Job) {
 	res, err := congestmwc.RunAlgorithmCtx(ctx, string(j.algo), j.graph, opts)
 	cancel()
 	s.busy.Add(-1)
+	// Service-wide simulation totals are settled before the job turns
+	// terminal, so a waiter that sees it done also sees them in Metrics.
+	if res != nil {
+		s.roundsTotal.Add(uint64(res.Rounds))
+		s.messagesTotal.Add(uint64(res.Messages))
+		s.wordsTotal.Add(uint64(res.Words))
+	}
+	if col != nil {
+		s.peakMu.Lock()
+		if col.PeakLinkWords > s.peakLinkWords {
+			s.peakLinkWords = col.PeakLinkWords
+		}
+		if col.PeakQueueLen > s.peakQueueLen {
+			s.peakQueueLen = col.PeakQueueLen
+		}
+		s.peakMu.Unlock()
+	}
 
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -841,22 +858,6 @@ func (s *Service) runJob(j *Job) {
 	}
 	s.journalRecord(ev)
 	s.clearInflight(j.key, j)
-
-	if res != nil {
-		s.roundsTotal.Add(uint64(res.Rounds))
-		s.messagesTotal.Add(uint64(res.Messages))
-		s.wordsTotal.Add(uint64(res.Words))
-	}
-	if col != nil {
-		s.peakMu.Lock()
-		if col.PeakLinkWords > s.peakLinkWords {
-			s.peakLinkWords = col.PeakLinkWords
-		}
-		if col.PeakQueueLen > s.peakQueueLen {
-			s.peakQueueLen = col.PeakQueueLen
-		}
-		s.peakMu.Unlock()
-	}
 }
 
 // Close drains the service: admission stops (Submit returns ErrClosed),

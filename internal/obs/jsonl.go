@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 
 	"congestmwc/internal/congest"
 )
@@ -17,113 +18,88 @@ import (
 //	{"ev":"round","round":4,"messages":12,"words":30,"cutWords":0,
 //	 "active":5,"maxLinkWords":8,"maxQueueLen":3}
 //
-// Payload words are included only when Words is set (they dominate trace
-// size). Write errors are sticky and reported by Err, not per event.
+// End events carry "begin":false. A round event carries "gap" — the empty
+// rounds the scheduler skipped immediately before it — only when that is
+// nonzero; round events are written for executed rounds only. Payload
+// words are included only when Words is set (they dominate trace size).
+// Write errors are sticky and reported by Err, not per event.
 type JSONL struct {
 	W io.Writer
 	// Words includes message payloads in msg events.
 	Words bool
 
-	enc *json.Encoder
+	buf []byte // one encoded line, reused across events
 	err error
 }
 
-var (
-	_ congest.Observer      = (*JSONL)(nil)
-	_ congest.RoundObserver = (*JSONL)(nil)
-	_ congest.PhaseObserver = (*JSONL)(nil)
-	_ congest.RunObserver   = (*JSONL)(nil)
-)
+var _ congest.Observer = (*JSONL)(nil)
 
-func (j *JSONL) emit(v any) {
+// Err returns the first write error, if any.
+func (j *JSONL) Err() error { return j.err }
+
+// Wants implements congest.Observer: everything but round starts, which
+// the round events imply.
+func (j *JSONL) Wants() congest.Mask {
+	return congest.AllEvents &^ congest.MaskOf(congest.KindRoundStart)
+}
+
+// Observe implements congest.Observer. Each event is encoded by hand into
+// one reused line buffer, with keys in the order shown above; phase paths
+// are escaped by encoding/json.
+func (j *JSONL) Observe(ev *congest.Event) {
 	if j.err != nil {
 		return
 	}
-	if j.enc == nil {
-		j.enc = json.NewEncoder(j.W)
+	b := append(j.buf[:0], `{"ev":`...)
+	switch ev.Kind {
+	case congest.KindRunStart, congest.KindRunEnd:
+		b = append(b, `"run"`...)
+		b = appendInt(b, "round", int64(ev.Round))
+		b = strconv.AppendBool(append(b, `,"begin":`...), ev.Kind == congest.KindRunStart)
+	case congest.KindPhaseBegin, congest.KindPhaseEnd:
+		path, _ := json.Marshal(ev.Phase) // a string always marshals
+		b = append(append(b, `"phase","path":`...), path...)
+		b = appendInt(b, "round", int64(ev.Round))
+		b = strconv.AppendBool(append(b, `,"begin":`...), ev.Kind == congest.KindPhaseBegin)
+	case congest.KindMessage:
+		b = append(b, `"msg"`...)
+		b = appendInt(b, "round", int64(ev.Round))
+		b = appendInt(b, "from", int64(ev.From))
+		b = appendInt(b, "to", int64(ev.To))
+		b = appendInt(b, "tag", ev.Msg.Tag)
+		b = appendInt(b, "size", int64(ev.Msg.Size()))
+		if j.Words && len(ev.Msg.Words) > 0 {
+			b = append(b, `,"words":[`...)
+			for i, w := range ev.Msg.Words {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, w, 10)
+			}
+			b = append(b, ']')
+		}
+	case congest.KindRoundEnd:
+		rs := &ev.Stats
+		b = append(b, `"round"`...)
+		b = appendInt(b, "round", int64(ev.Round))
+		b = appendInt(b, "messages", int64(rs.Messages))
+		b = appendInt(b, "words", int64(rs.Words))
+		b = appendInt(b, "cutWords", int64(rs.CutWords))
+		b = appendInt(b, "active", int64(rs.Active))
+		b = appendInt(b, "maxLinkWords", int64(rs.MaxLinkWords))
+		b = appendInt(b, "maxQueueLen", int64(rs.MaxQueueLen))
+		if rs.Gap > 0 {
+			b = appendInt(b, "gap", int64(rs.Gap))
+		}
+	default:
+		return
 	}
-	j.err = j.enc.Encode(v)
+	j.buf = append(b, "}\n"...)
+	_, j.err = j.W.Write(j.buf)
 }
 
-// Err returns the first write/encode error, if any.
-func (j *JSONL) Err() error { return j.err }
-
-type jsonlMsg struct {
-	Ev    string  `json:"ev"`
-	Round int     `json:"round"`
-	From  int     `json:"from"`
-	To    int     `json:"to"`
-	Tag   int64   `json:"tag"`
-	Size  int     `json:"size"`
-	Words []int64 `json:"words,omitempty"`
-}
-
-type jsonlRound struct {
-	Ev           string `json:"ev"`
-	Round        int    `json:"round"`
-	Messages     int    `json:"messages"`
-	Words        int    `json:"words"`
-	CutWords     int    `json:"cutWords"`
-	Active       int    `json:"active"`
-	MaxLinkWords int    `json:"maxLinkWords"`
-	MaxQueueLen  int    `json:"maxQueueLen"`
-	// Gap counts the empty rounds the scheduler skipped immediately before
-	// this one; round events are emitted for executed rounds only.
-	Gap int `json:"gap,omitempty"`
-}
-
-type jsonlPhase struct {
-	Ev    string `json:"ev"`
-	Path  string `json:"path"`
-	Round int    `json:"round"`
-	Begin bool   `json:"begin"`
-}
-
-type jsonlRun struct {
-	Ev    string `json:"ev"`
-	Round int    `json:"round"`
-	Begin bool   `json:"begin"`
-}
-
-// OnRound implements congest.Observer (round starts are implied by the
-// round-end events; nothing is written here).
-func (j *JSONL) OnRound(int) {}
-
-// OnMessage implements congest.Observer.
-func (j *JSONL) OnMessage(round, from, to int, m congest.Msg) {
-	ev := jsonlMsg{Ev: "msg", Round: round, From: from, To: to, Tag: m.Tag, Size: m.Size()}
-	if j.Words {
-		ev.Words = m.Words
-	}
-	j.emit(ev)
-}
-
-// OnRoundEnd implements congest.RoundObserver.
-func (j *JSONL) OnRoundEnd(round int, rs congest.RoundStats) {
-	j.emit(jsonlRound{
-		Ev: "round", Round: round,
-		Messages: rs.Messages, Words: rs.Words, CutWords: rs.CutWords,
-		Active: rs.Active, MaxLinkWords: rs.MaxLinkWords, MaxQueueLen: rs.MaxQueueLen,
-		Gap: rs.Gap,
-	})
-}
-
-// OnPhaseBegin implements congest.PhaseObserver.
-func (j *JSONL) OnPhaseBegin(path string, round int) {
-	j.emit(jsonlPhase{Ev: "phase", Path: path, Round: round, Begin: true})
-}
-
-// OnPhaseEnd implements congest.PhaseObserver.
-func (j *JSONL) OnPhaseEnd(path string, round int) {
-	j.emit(jsonlPhase{Ev: "phase", Path: path, Round: round})
-}
-
-// OnRunStart implements congest.RunObserver.
-func (j *JSONL) OnRunStart(round int) {
-	j.emit(jsonlRun{Ev: "run", Round: round, Begin: true})
-}
-
-// OnRunEnd implements congest.RunObserver.
-func (j *JSONL) OnRunEnd(round int) {
-	j.emit(jsonlRun{Ev: "run", Round: round})
+// appendInt appends the member ,"key":v.
+func appendInt(b []byte, key string, v int64) []byte {
+	b = append(append(append(b, `,"`...), key...), `":`...)
+	return strconv.AppendInt(b, v, 10)
 }

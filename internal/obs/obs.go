@@ -83,12 +83,12 @@ type MsgEvent struct {
 	Size  int   `json:"size"`
 }
 
-// Collector is a congest.Observer (plus all optional extensions) that
-// records per-round metrics, per-tag/per-link totals and phase spans with
-// O(1) work per event. The zero value records everything except wall
-// clock; set the No* switches to shed cost, or Wall to time rounds.
-// Install it with Network.SetObserver (use congest.Multi to combine it
-// with a trace writer).
+// Collector is a congest.Observer that records per-round metrics,
+// per-tag/per-link totals and phase spans with O(1) work per event. The
+// zero value records everything except wall clock; set the No* switches
+// to shed cost, or Wall to time rounds. Install it with
+// Network.SetObserver (use congest.Multi to combine it with a trace
+// writer).
 type Collector struct {
 	// NoSeries disables the per-round time series.
 	NoSeries bool
@@ -143,42 +143,64 @@ type Collector struct {
 	roundStart time.Time
 }
 
-var (
-	_ congest.Observer      = (*Collector)(nil)
-	_ congest.RoundObserver = (*Collector)(nil)
-	_ congest.PhaseObserver = (*Collector)(nil)
-	_ congest.RunObserver   = (*Collector)(nil)
-	_ congest.MessageFilter = (*Collector)(nil)
-)
+var _ congest.Observer = (*Collector)(nil)
 
-// WantsMessages implements congest.MessageFilter: when per-tag and
-// per-link recording and message sampling are all off, everything the
-// collector records arrives through the per-round deltas, so the engine
-// can skip the per-message callback entirely — this is what keeps the
-// harness's lean meter within its overhead budget. Configure the
-// collector before SetObserver; the filter is consulted only there.
-func (c *Collector) WantsMessages() bool {
-	return !c.NoPerTag || !c.NoPerLink || c.SampleMessages > 0
+// Wants implements congest.Observer. Message events are wanted only for
+// per-tag or per-link recording or message sampling: otherwise everything
+// the collector records arrives through the per-round deltas, so the
+// engine skips the per-message dispatch entirely — this is what keeps the
+// harness's lean meter within its overhead budget. Round starts are
+// wanted only to time rounds (Wall). Configure the collector before
+// SetObserver; the mask is read only there.
+func (c *Collector) Wants() congest.Mask {
+	m := congest.MaskOf(congest.KindRunStart, congest.KindRunEnd,
+		congest.KindPhaseBegin, congest.KindPhaseEnd, congest.KindRoundEnd)
+	if !c.NoPerTag || !c.NoPerLink || c.SampleMessages > 0 {
+		m |= congest.MaskOf(congest.KindMessage)
+	}
+	if c.Wall {
+		m |= congest.MaskOf(congest.KindRoundStart)
+	}
+	return m
 }
 
-// OnRound implements congest.Observer.
-func (c *Collector) OnRound(round int) {
-	if c.Wall {
+// Observe implements congest.Observer.
+func (c *Collector) Observe(ev *congest.Event) {
+	switch ev.Kind {
+	case congest.KindRunStart:
+		c.Runs++
+	case congest.KindRunEnd:
+		c.flushPending()
+	case congest.KindPhaseBegin:
+		c.Phases = append(c.Phases, &PhaseSpan{Path: ev.Phase, BeginRound: ev.Round, EndRound: -1, Open: true})
+		c.open = append(c.open, len(c.Phases)-1)
+	case congest.KindPhaseEnd:
+		if len(c.open) == 0 {
+			return // EndPhase mismatches already panic in the network
+		}
+		sp := c.Phases[c.open[len(c.open)-1]]
+		sp.EndRound = ev.Round
+		sp.Open = false
+		c.open = c.open[:len(c.open)-1]
+	case congest.KindRoundStart: // wanted only under Wall
 		c.roundStart = time.Now()
+	case congest.KindMessage:
+		c.message(ev)
+	case congest.KindRoundEnd:
+		c.roundEnd(ev.Round, ev.Stats)
 	}
 }
 
-// OnMessage implements congest.Observer.
-func (c *Collector) OnMessage(round, from, to int, m congest.Msg) {
-	size := m.Size()
+func (c *Collector) message(ev *congest.Event) {
+	size := ev.Msg.Size()
 	if !c.NoPerTag {
 		if c.PerTag == nil {
 			c.PerTag = make(map[int64]*TagStat)
 		}
-		ts := c.PerTag[m.Tag]
+		ts := c.PerTag[ev.Msg.Tag]
 		if ts == nil {
 			ts = &TagStat{}
-			c.PerTag[m.Tag] = ts
+			c.PerTag[ev.Msg.Tag] = ts
 		}
 		ts.Messages++
 		ts.Words += size
@@ -187,17 +209,17 @@ func (c *Collector) OnMessage(round, from, to int, m congest.Msg) {
 		if c.PerLink == nil {
 			c.PerLink = make(map[LinkKey]*LinkStat)
 		}
-		key := LinkKey{From: from, To: to}
+		key := LinkKey{From: ev.From, To: ev.To}
 		ls := c.PerLink[key]
 		if ls == nil {
-			ls = &LinkStat{From: from, To: to}
+			ls = &LinkStat{From: ev.From, To: ev.To}
 			c.PerLink[key] = ls
 		}
 		ls.Messages++
 		ls.Words += size
 	}
 	if c.SampleMessages > 0 {
-		c.reservoir(MsgEvent{Round: round, From: from, To: to, Tag: m.Tag, Size: size})
+		c.reservoir(MsgEvent{Round: ev.Round, From: ev.From, To: ev.To, Tag: ev.Msg.Tag, Size: size})
 	}
 }
 
@@ -217,13 +239,13 @@ func (c *Collector) reservoir(ev MsgEvent) {
 	}
 }
 
-// OnRoundEnd implements congest.RoundObserver: totals, phase attribution
-// and the time series all key off the engine-computed per-round deltas.
+// roundEnd records one executed round: totals, phase attribution and the
+// time series all key off the engine-computed per-round deltas.
 // The round accounts for rs.Gap+1 rounds of the run — itself plus the
 // empty rounds the event-driven scheduler skipped immediately before it —
 // which keeps Rounds equal to the engine's Stats.Rounds (the conformance
 // cross-check) and phase round totals exact.
-func (c *Collector) OnRoundEnd(round int, rs congest.RoundStats) {
+func (c *Collector) roundEnd(round int, rs congest.RoundStats) {
 	var wall int64
 	if c.Wall {
 		wall = time.Since(c.roundStart).Nanoseconds()
@@ -320,29 +342,6 @@ func (c *Collector) flushPending() {
 		c.pendingN = 0
 	}
 }
-
-// OnPhaseBegin implements congest.PhaseObserver.
-func (c *Collector) OnPhaseBegin(path string, round int) {
-	c.Phases = append(c.Phases, &PhaseSpan{Path: path, BeginRound: round, EndRound: -1, Open: true})
-	c.open = append(c.open, len(c.Phases)-1)
-}
-
-// OnPhaseEnd implements congest.PhaseObserver.
-func (c *Collector) OnPhaseEnd(path string, round int) {
-	if len(c.open) == 0 {
-		return // EndPhase mismatches already panic in the network
-	}
-	sp := c.Phases[c.open[len(c.open)-1]]
-	sp.EndRound = round
-	sp.Open = false
-	c.open = c.open[:len(c.open)-1]
-}
-
-// OnRunStart implements congest.RunObserver.
-func (c *Collector) OnRunStart(round int) { c.Runs++ }
-
-// OnRunEnd implements congest.RunObserver.
-func (c *Collector) OnRunEnd(round int) { c.flushPending() }
 
 // CutSeries returns the per-round cut-words series: element i is the cut
 // traffic of bucket i (one round per bucket unless decimation kicked in).

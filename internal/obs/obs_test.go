@@ -10,22 +10,58 @@ import (
 	"congestmwc/internal/gen"
 )
 
+// feed hands the events to o in order, skipping the kinds o does not
+// want, as a network would.
+func feed(o congest.Observer, evs ...congest.Event) {
+	want := o.Wants()
+	for i := range evs {
+		if want.Has(evs[i].Kind) {
+			o.Observe(&evs[i])
+		}
+	}
+}
+
+// Event constructors for feed.
+
+func evRun(begin bool, round int) congest.Event {
+	if begin {
+		return congest.Event{Kind: congest.KindRunStart, Round: round}
+	}
+	return congest.Event{Kind: congest.KindRunEnd, Round: round}
+}
+
+func evPhase(begin bool, path string, round int) congest.Event {
+	if begin {
+		return congest.Event{Kind: congest.KindPhaseBegin, Round: round, Phase: path}
+	}
+	return congest.Event{Kind: congest.KindPhaseEnd, Round: round, Phase: path}
+}
+
+func evMsg(round, from, to int, m congest.Msg) congest.Event {
+	return congest.Event{Kind: congest.KindMessage, Round: round, From: from, To: to, Msg: m}
+}
+
+func evRound(round int, rs congest.RoundStats) congest.Event {
+	return congest.Event{Kind: congest.KindRoundEnd, Round: round, Stats: rs}
+}
+
 // drive feeds n synthetic rounds into the collector, one message per round
 // with increasing congestion figures, and returns the expected word total.
 func drive(c *Collector, n int) int {
 	words := 0
-	c.OnRunStart(0)
+	feed(c, evRun(true, 0))
 	for r := 1; r <= n; r++ {
-		c.OnRound(r)
-		c.OnMessage(r, 0, 1, congest.Msg{Tag: int64(r % 3), Words: []int64{int64(r)}})
 		w := 2 // tag + one payload word
 		words += w
-		c.OnRoundEnd(r, congest.RoundStats{
-			Messages: 1, Words: w, Active: 2,
-			MaxLinkWords: r % 5, MaxQueueLen: r % 7,
-		})
+		feed(c,
+			congest.Event{Kind: congest.KindRoundStart, Round: r},
+			evMsg(r, 0, 1, congest.Msg{Tag: int64(r % 3), Words: []int64{int64(r)}}),
+			evRound(r, congest.RoundStats{
+				Messages: 1, Words: w, Active: 2,
+				MaxLinkWords: r % 5, MaxQueueLen: r % 7,
+			}))
 	}
-	c.OnRunEnd(n)
+	feed(c, evRun(false, n))
 	return words
 }
 
@@ -76,7 +112,7 @@ func TestCollectorDecimation(t *testing.T) {
 		t.Fatalf("series length %d exceeds MaxSeries %d", len(c.Series), maxSeries)
 	}
 	// Nothing may be lost: bucket spans cover every round exactly once and
-	// counts sum to the totals (OnRunEnd flushed the pending bucket).
+	// counts sum to the totals (the run end flushed the pending bucket).
 	spanSum, msgSum, wordSum, next := 0, 0, 0, 1
 	for i, s := range c.Series {
 		if s.Round != next {
@@ -95,15 +131,16 @@ func TestCollectorDecimation(t *testing.T) {
 
 func TestCollectorPhaseAttribution(t *testing.T) {
 	c := &Collector{}
-	c.OnRunStart(0)
-	c.OnPhaseBegin("outer", 0)
-	c.OnRoundEnd(1, congest.RoundStats{Messages: 1, Words: 2})
-	c.OnPhaseBegin("outer/inner", 1)
-	c.OnRoundEnd(2, congest.RoundStats{Messages: 10, Words: 20})
-	c.OnPhaseEnd("outer/inner", 2)
-	c.OnRoundEnd(3, congest.RoundStats{Messages: 100, Words: 200})
-	c.OnPhaseEnd("outer", 3)
-	c.OnRunEnd(3)
+	feed(c,
+		evRun(true, 0),
+		evPhase(true, "outer", 0),
+		evRound(1, congest.RoundStats{Messages: 1, Words: 2}),
+		evPhase(true, "outer/inner", 1),
+		evRound(2, congest.RoundStats{Messages: 10, Words: 20}),
+		evPhase(false, "outer/inner", 2),
+		evRound(3, congest.RoundStats{Messages: 100, Words: 200}),
+		evPhase(false, "outer", 3),
+		evRun(false, 3))
 
 	if len(c.Phases) != 2 {
 		t.Fatalf("got %d phases, want 2", len(c.Phases))
@@ -131,7 +168,7 @@ func TestCollectorReservoirDeterministic(t *testing.T) {
 	sample := func() []MsgEvent {
 		c := &Collector{SampleMessages: 8, NoPerTag: true, NoPerLink: true, NoSeries: true}
 		for i := 0; i < 500; i++ {
-			c.OnMessage(i, i%7, (i+1)%7, congest.Msg{Tag: int64(i)})
+			feed(c, evMsg(i, i%7, (i+1)%7, congest.Msg{Tag: int64(i)}))
 		}
 		return c.Sampled
 	}
@@ -146,7 +183,7 @@ func TestCollectorReservoirDeterministic(t *testing.T) {
 	}
 	// A reservoir over fewer events than its capacity keeps everything.
 	c := &Collector{SampleMessages: 8}
-	c.OnMessage(1, 0, 1, congest.Msg{Tag: 5})
+	feed(c, evMsg(1, 0, 1, congest.Msg{Tag: 5}))
 	if len(c.Sampled) != 1 || c.Sampled[0].Tag != 5 {
 		t.Errorf("small stream sample = %v", c.Sampled)
 	}
@@ -154,9 +191,9 @@ func TestCollectorReservoirDeterministic(t *testing.T) {
 
 func TestSummaryExports(t *testing.T) {
 	c := &Collector{SampleMessages: 4}
-	c.OnPhaseBegin("p", 0)
+	feed(c, evPhase(true, "p", 0))
 	drive(c, 6)
-	c.OnPhaseEnd("p", 6)
+	feed(c, evPhase(false, "p", 6))
 	sum := c.Summary()
 
 	var buf bytes.Buffer
@@ -202,12 +239,13 @@ func TestSummaryExports(t *testing.T) {
 func TestJSONLTrace(t *testing.T) {
 	var buf bytes.Buffer
 	j := &JSONL{W: &buf, Words: true}
-	j.OnRunStart(0)
-	j.OnPhaseBegin("p", 0)
-	j.OnMessage(1, 0, 1, congest.Msg{Tag: 3, Words: []int64{7, 9}})
-	j.OnRoundEnd(1, congest.RoundStats{Messages: 1, Words: 3, Active: 2})
-	j.OnPhaseEnd("p", 1)
-	j.OnRunEnd(1)
+	feed(j,
+		evRun(true, 0),
+		evPhase(true, "p", 0),
+		evMsg(1, 0, 1, congest.Msg{Tag: 3, Words: []int64{7, 9}}),
+		evRound(1, congest.RoundStats{Messages: 1, Words: 3, Active: 2}),
+		evPhase(false, "p", 1),
+		evRun(false, 1))
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}

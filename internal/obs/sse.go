@@ -2,11 +2,89 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"strings"
+	"time"
+
+	"congestmwc/internal/httpx"
 )
+
+// ServeSSE streams sub to the client as Server-Sent Events and closes sub
+// when it returns. Each event is written as
+//
+//	id: <epoch>-<seq>
+//	event: <type>
+//	data: <the Event as one-line JSON>
+//
+// A ": heartbeat" comment goes out every heartbeat interval, so proxies and
+// clients see traffic while a long phase produces no events. The stream
+// ends when the hub closes (after a ": stream closed (dropped N events)"
+// comment reporting backpressure loss), when the client goes away, or when
+// drain fires (after a ": server draining" comment).
+//
+// A reconnecting client sends the Last-Event-ID header; events it already
+// saw are skipped rather than replayed, but only when its ID carries the
+// current epoch. Hubs renumber from 1 under a fresh epoch (a cluster
+// hand-off attempt, a session recompute generation), so a resume point
+// from an earlier epoch triggers a full replay instead of silently
+// suppressing the new epoch's early events.
+func ServeSSE(w http.ResponseWriter, r *http.Request, sub *Subscription, epoch uint64, heartbeat time.Duration, drain <-chan struct{}) {
+	defer sub.Close()
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		httpx.Error(w, http.StatusInternalServerError, "response writer does not support streaming")
+		return
+	}
+	var after uint64
+	if raw := r.Header.Get("Last-Event-ID"); raw != "" {
+		if ce, cs, ok := ParseSSEID(raw); ok && ce == epoch {
+			after = cs
+		}
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("X-Accel-Buffering", "no") // keep reverse proxies from buffering the stream
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+
+	hb := time.NewTicker(heartbeat)
+	defer hb.Stop()
+	for {
+		select {
+		case ev, open := <-sub.Events():
+			if !open {
+				fmt.Fprintf(w, ": stream closed (dropped %d events)\n\n", sub.Dropped())
+				fl.Flush()
+				return
+			}
+			if ev.Seq <= after {
+				continue // already delivered before the reconnect
+			}
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "id: %s\nevent: %s\ndata: %s\n\n", FormatSSEID(epoch, ev.Seq), ev.Type, data); err != nil {
+				return // client gone mid-write
+			}
+			fl.Flush()
+		case <-hb.C:
+			fmt.Fprint(w, ": heartbeat\n\n")
+			fl.Flush()
+		case <-r.Context().Done():
+			return
+		case <-drain:
+			fmt.Fprint(w, ": server draining\n\n")
+			fl.Flush()
+			return
+		}
+	}
+}
 
 // FormatSSEID renders an epoch-tagged SSE event ID. Stream epochs fence
 // Last-Event-ID resumption across hub restarts: each hand-off attempt (and
@@ -44,7 +122,7 @@ func ParseSSEID(s string) (epoch, seq uint64, ok bool) {
 // SSEFrame is one parsed Server-Sent Events frame: either the dispatched
 // field values of one id/event/data block, or a single comment line
 // (Comment set, the other fields empty). This is the client-side
-// counterpart of the daemon's /v1/jobs/{id}/events wire format; cmd/mwctail
+// counterpart of ServeSSE's wire format; cmd/mwctail
 // and the cluster tests parse streams through it.
 type SSEFrame struct {
 	ID      string

@@ -26,8 +26,9 @@ const (
 )
 
 // Event is one element of a Streamer's broadcast stream, serialisable as
-// JSON (this is the wire shape of the daemon's SSE events endpoint, see
-// docs/OBSERVABILITY.md).
+// JSON: the envelope ServeSSE writes on the daemon's events endpoints (see
+// docs/OBSERVABILITY.md). It adds the Seq, State and Error fields the
+// simulator's congest.Event does not know.
 type Event struct {
 	// Seq numbers events 1,2,3,… in publication order. Subscribers can
 	// detect drops (and SSE clients can resume-point) from gaps.
@@ -46,26 +47,20 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Streamer is a bounded broadcast hub for live observation: it implements
-// the same optional observer extensions as Collector (round, phase and run
-// events; it declines per-message callbacks), keeps the most recent events
-// in a fixed-size ring buffer, and fans every event out to any number of
-// subscribers. Install it next to a Collector with congest.Multi — the
-// collector keeps the complete record, the streamer serves live tails.
+// Streamer is a bounded broadcast hub for live observation: an observer of
+// round ends, phases and runs (it declines per-message events) that keeps
+// the most recent events in a fixed-size ring buffer and fans every event
+// out to any number of subscribers. Install it next to a Collector with
+// congest.Multi — the collector keeps the complete record, the streamer
+// serves live tails.
 //
 // Publication never blocks and never allocates per subscriber: a
 // subscriber that falls behind its channel buffer loses the OLDEST
 // undelivered events first (drop-oldest backpressure), with the loss
-// counted on the subscription and visible as Seq gaps. Observer callbacks
+// counted on the subscription and visible as Seq gaps. Observed events
 // arrive from the engine's single-threaded sections, but Subscribe, Close
 // and Publish may be called from any goroutine.
 type Streamer struct {
-	// Every publishes only every k-th executed round's EventRound (phase,
-	// run and published events are never thinned). 0 and 1 both mean every
-	// round. Set it before installing the streamer; it is read without
-	// synchronisation from the observer callback.
-	Every int
-
 	mu     sync.Mutex
 	ring   []Event // fixed capacity once allocated
 	start  int     // index of the oldest buffered event
@@ -73,19 +68,9 @@ type Streamer struct {
 	seq    uint64
 	subs   map[*Subscription]struct{}
 	closed bool
-
-	roundsSeen int // rounds since the last published EventRound
 }
 
-// Compile-time checks: a Streamer is a full observer stack minus the
-// per-message hot path.
-var (
-	_ congest.Observer      = (*Streamer)(nil)
-	_ congest.RoundObserver = (*Streamer)(nil)
-	_ congest.PhaseObserver = (*Streamer)(nil)
-	_ congest.RunObserver   = (*Streamer)(nil)
-	_ congest.MessageFilter = (*Streamer)(nil)
-)
+var _ congest.Observer = (*Streamer)(nil)
 
 // DefaultRing is the ring capacity NewStreamer uses for size <= 0.
 const DefaultRing = 256
@@ -155,7 +140,7 @@ func (sub *Subscription) Close() {
 
 // Publish injects an event into the stream: it is stamped with the next
 // sequence number, buffered in the ring, and fanned out. Publishing to a
-// closed streamer is a no-op. The Streamer's own observer callbacks go
+// closed streamer is a no-op. The events the Streamer observes go
 // through Publish too, so caller events and simulation events share one
 // total order.
 func (s *Streamer) Publish(ev Event) {
@@ -212,52 +197,36 @@ func (s *Streamer) Close() {
 	s.mu.Unlock()
 }
 
-// WantsMessages implements congest.MessageFilter: the streamer carries
-// round-granularity events only, so the engine skips the per-message
-// callback entirely.
-func (s *Streamer) WantsMessages() bool { return false }
+// Wants implements congest.Observer: the streamer carries round-granularity
+// events only, so the engine skips the per-message dispatch entirely.
+func (s *Streamer) Wants() congest.Mask {
+	return congest.MaskOf(congest.KindRunStart, congest.KindRunEnd,
+		congest.KindPhaseBegin, congest.KindPhaseEnd, congest.KindRoundEnd)
+}
 
-// OnRound implements congest.Observer.
-func (s *Streamer) OnRound(round int) {}
-
-// OnMessage implements congest.Observer (never called: WantsMessages).
-func (s *Streamer) OnMessage(round, from, to int, m congest.Msg) {}
-
-// OnRoundEnd implements congest.RoundObserver: every Every-th executed
-// round is published as an EventRound whose sample covers the round plus
-// the gap the scheduler skipped before it.
-func (s *Streamer) OnRoundEnd(round int, rs congest.RoundStats) {
-	s.roundsSeen++
-	if s.Every > 1 && s.roundsSeen%s.Every != 0 {
-		return
+// Observe implements congest.Observer. Every executed round is published
+// as an EventRound whose sample covers the round plus the gap the
+// scheduler skipped before it, so the samples' spans tile the run.
+func (s *Streamer) Observe(ev *congest.Event) {
+	switch ev.Kind {
+	case congest.KindRunStart:
+		s.Publish(Event{Type: EventRunStart, Round: ev.Round})
+	case congest.KindRunEnd:
+		s.Publish(Event{Type: EventRunEnd, Round: ev.Round})
+	case congest.KindPhaseBegin:
+		s.Publish(Event{Type: EventPhaseBegin, Round: ev.Round, Phase: ev.Phase})
+	case congest.KindPhaseEnd:
+		s.Publish(Event{Type: EventPhaseEnd, Round: ev.Round, Phase: ev.Phase})
+	case congest.KindRoundEnd:
+		rs := &ev.Stats
+		s.Publish(Event{
+			Type:  EventRound,
+			Round: ev.Round,
+			Sample: &RoundSample{
+				Round: ev.Round, Span: 1 + rs.Gap,
+				Messages: rs.Messages, Words: rs.Words, CutWords: rs.CutWords,
+				Active: rs.Active, MaxLinkWords: rs.MaxLinkWords, MaxQueueLen: rs.MaxQueueLen,
+			},
+		})
 	}
-	s.Publish(Event{
-		Type:  EventRound,
-		Round: round,
-		Sample: &RoundSample{
-			Round: round, Span: 1 + rs.Gap,
-			Messages: rs.Messages, Words: rs.Words, CutWords: rs.CutWords,
-			Active: rs.Active, MaxLinkWords: rs.MaxLinkWords, MaxQueueLen: rs.MaxQueueLen,
-		},
-	})
-}
-
-// OnPhaseBegin implements congest.PhaseObserver.
-func (s *Streamer) OnPhaseBegin(path string, round int) {
-	s.Publish(Event{Type: EventPhaseBegin, Round: round, Phase: path})
-}
-
-// OnPhaseEnd implements congest.PhaseObserver.
-func (s *Streamer) OnPhaseEnd(path string, round int) {
-	s.Publish(Event{Type: EventPhaseEnd, Round: round, Phase: path})
-}
-
-// OnRunStart implements congest.RunObserver.
-func (s *Streamer) OnRunStart(round int) {
-	s.Publish(Event{Type: EventRunStart, Round: round})
-}
-
-// OnRunEnd implements congest.RunObserver.
-func (s *Streamer) OnRunEnd(round int) {
-	s.Publish(Event{Type: EventRunEnd, Round: round})
 }

@@ -10,19 +10,19 @@ import (
 )
 
 // driveStream feeds n synthetic executed rounds (with a phase around the
-// middle third) into the streamer through its observer callbacks.
+// middle third) into the streamer as observer events.
 func driveStream(s *Streamer, n int) {
-	s.OnRunStart(0)
+	feed(s, evRun(true, 0))
 	for r := 1; r <= n; r++ {
 		if r == n/3 {
-			s.OnPhaseBegin("test/mid", r)
+			feed(s, evPhase(true, "test/mid", r))
 		}
-		s.OnRoundEnd(r, congest.RoundStats{Messages: 1, Words: 2, Active: 1})
+		feed(s, evRound(r, congest.RoundStats{Messages: 1, Words: 2, Active: 1}))
 		if r == 2*n/3 {
-			s.OnPhaseEnd("test/mid", r)
+			feed(s, evPhase(false, "test/mid", r))
 		}
 	}
-	s.OnRunEnd(n)
+	feed(s, evRun(false, n))
 }
 
 // collect drains the subscription until its channel closes or the timeout
@@ -93,7 +93,7 @@ func TestStreamerRoundSampleShape(t *testing.T) {
 	s := NewStreamer(8)
 	sub := s.Subscribe(0)
 	defer sub.Close()
-	s.OnRoundEnd(7, congest.RoundStats{Messages: 3, Words: 9, CutWords: 2, Active: 4, MaxLinkWords: 5, MaxQueueLen: 6, Gap: 2})
+	feed(s, evRound(7, congest.RoundStats{Messages: 3, Words: 9, CutWords: 2, Active: 4, MaxLinkWords: 5, MaxQueueLen: 6, Gap: 2}))
 	ev := <-sub.Events()
 	if ev.Type != EventRound || ev.Sample == nil {
 		t.Fatalf("event = %+v, want a round event with a sample", ev)
@@ -101,31 +101,6 @@ func TestStreamerRoundSampleShape(t *testing.T) {
 	want := RoundSample{Round: 7, Span: 3, Messages: 3, Words: 9, CutWords: 2, Active: 4, MaxLinkWords: 5, MaxQueueLen: 6}
 	if *ev.Sample != want {
 		t.Errorf("sample = %+v, want %+v (span covers the skipped gap)", *ev.Sample, want)
-	}
-}
-
-func TestStreamerEveryThinsRounds(t *testing.T) {
-	s := NewStreamer(512)
-	s.Every = 4
-	sub := s.Subscribe(0)
-	defer sub.Close()
-	for r := 1; r <= 16; r++ {
-		s.OnRoundEnd(r, congest.RoundStats{Messages: 1})
-	}
-	s.OnPhaseBegin("p", 16) // never thinned
-	s.Close()
-	evs := collect(t, sub, time.Second)
-	rounds := 0
-	for _, ev := range evs {
-		if ev.Type == EventRound {
-			rounds++
-		}
-	}
-	if rounds != 4 {
-		t.Errorf("Every=4 published %d of 16 rounds, want 4", rounds)
-	}
-	if evs[len(evs)-1].Type != EventPhaseBegin {
-		t.Errorf("phase event was thinned: last = %+v", evs[len(evs)-1])
 	}
 }
 
@@ -183,20 +158,16 @@ func TestStreamerSubscribeAfterClose(t *testing.T) {
 func TestStreamerTeeWithCollector(t *testing.T) {
 	col := &Collector{}
 	str := NewStreamer(128)
-	var tee congest.Observer = congest.Multi{col, str}
+	tee := congest.Multi(col, str)
 
 	sub := str.Subscribe(0)
-	ro := tee.(congest.RoundObserver)
-	po := tee.(congest.PhaseObserver)
-	runo := tee.(congest.RunObserver)
-	runo.OnRunStart(0)
-	po.OnPhaseBegin("tee", 1)
+	feed(tee, evRun(true, 0), evPhase(true, "tee", 1))
 	for r := 1; r <= 5; r++ {
-		tee.OnRound(r)
-		ro.OnRoundEnd(r, congest.RoundStats{Messages: r, Words: 2 * r, Active: 1})
+		feed(tee,
+			congest.Event{Kind: congest.KindRoundStart, Round: r},
+			evRound(r, congest.RoundStats{Messages: r, Words: 2 * r, Active: 1}))
 	}
-	po.OnPhaseEnd("tee", 5)
-	runo.OnRunEnd(5)
+	feed(tee, evPhase(false, "tee", 5), evRun(false, 5))
 	str.Close()
 
 	evs := collect(t, sub, time.Second)

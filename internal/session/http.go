@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"congestmwc/internal/httpx"
 	"congestmwc/internal/jobs"
 	"congestmwc/internal/obs"
 	"congestmwc/internal/store"
@@ -68,19 +69,19 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s.Status())
+		httpx.WriteJSON(w, http.StatusCreated, s.Status())
 	})
 	mux.HandleFunc("GET /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
 		var limit int
 		if raw := r.URL.Query().Get("limit"); raw != "" {
 			v, err := strconv.Atoi(raw)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q: not an integer", raw))
+				httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q: not an integer", raw))
 				return
 			}
 			limit = v
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"graphs": m.List(limit)})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"graphs": m.List(limit)})
 	})
 	mux.HandleFunc("GET /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -88,7 +89,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Status())
+		httpx.WriteJSON(w, http.StatusOK, s.Status())
 	})
 	mux.HandleFunc("PUT /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		var rec store.SessionRecord
@@ -101,7 +102,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Status())
+		httpx.WriteJSON(w, http.StatusOK, s.Status())
 	})
 	mux.HandleFunc("PATCH /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -118,7 +119,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		httpx.WriteJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("GET /v1/graphs/{id}/mwc", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -130,7 +131,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		if raw := r.URL.Query().Get("wait"); raw != "" {
 			d, err := time.ParseDuration(raw)
 			if err != nil || d < 0 {
-				httpError(w, http.StatusBadRequest,
+				httpx.Error(w, http.StatusBadRequest,
 					fmt.Sprintf("invalid wait %q: want a non-negative Go duration like 5s", raw))
 				return
 			}
@@ -146,7 +147,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		if st.State == StateComputing || st.Result == nil {
 			code = http.StatusAccepted
 		}
-		writeJSON(w, code, st)
+		httpx.WriteJSON(w, code, st)
 	})
 	mux.HandleFunc("GET /v1/graphs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -156,66 +157,14 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		}
 		sub := s.Subscribe(cfg.EventBuffer)
 		if sub == nil {
-			httpError(w, http.StatusConflict,
+			httpx.Error(w, http.StatusConflict,
 				"session event streaming is disabled: start the service with observability on (mwcd -observe)")
-			return
-		}
-		defer sub.Close()
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
 			return
 		}
 		// Same epoch fencing as the jobs stream: IDs are
 		// "<generation>-<seq>", and a resume point from a previous
 		// generation (an earlier owning process) triggers a full replay.
-		epoch := s.Epoch()
-		var after uint64
-		if raw := r.Header.Get("Last-Event-ID"); raw != "" {
-			if ce, cs, ok := obs.ParseSSEID(raw); ok && ce == epoch {
-				after = cs
-			}
-		}
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		h.Set("X-Accel-Buffering", "no")
-		w.WriteHeader(http.StatusOK)
-		fl.Flush()
-
-		hb := time.NewTicker(heartbeat)
-		defer hb.Stop()
-		for {
-			select {
-			case ev, open := <-sub.Events():
-				if !open {
-					fmt.Fprintf(w, ": stream closed (dropped %d events)\n\n", sub.Dropped())
-					fl.Flush()
-					return
-				}
-				if ev.Seq <= after {
-					continue
-				}
-				data, err := json.Marshal(ev)
-				if err != nil {
-					return
-				}
-				if _, err := fmt.Fprintf(w, "id: %s\nevent: %s\ndata: %s\n\n",
-					obs.FormatSSEID(epoch, ev.Seq), ev.Type, data); err != nil {
-					return
-				}
-				fl.Flush()
-			case <-hb.C:
-				fmt.Fprint(w, ": heartbeat\n\n")
-				fl.Flush()
-			case <-r.Context().Done():
-				return
-			case <-m.cfg.Jobs.Draining():
-				fmt.Fprint(w, ": server draining\n\n")
-				fl.Flush()
-				return
-			}
-		}
+		obs.ServeSSE(w, r, sub, s.Epoch(), heartbeat, m.cfg.Jobs.Draining())
 	})
 	mux.HandleFunc("DELETE /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Delete(r.PathValue("id"))
@@ -223,7 +172,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		httpx.WriteJSON(w, http.StatusOK, st)
 	})
 	return mux
 }
@@ -237,15 +186,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, maxBody int64, v any) bo
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
+			httpx.Error(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit))
 			return false
 		}
-		httpError(w, http.StatusBadRequest, "invalid request: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "invalid request: "+err.Error())
 		return false
 	}
 	if dec.More() {
-		httpError(w, http.StatusBadRequest, "invalid request: trailing data after the JSON object")
+		httpx.Error(w, http.StatusBadRequest, "invalid request: trailing data after the JSON object")
 		return false
 	}
 	return true
@@ -255,38 +204,21 @@ func decodeBody(w http.ResponseWriter, r *http.Request, maxBody int64, v any) bo
 func writeSessionError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
-		httpError(w, http.StatusNotFound, err.Error())
+		httpx.Error(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, ErrTooMany):
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		httpx.Error(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		httpx.Error(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpx.Error(w, http.StatusBadRequest, err.Error())
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
 }
 
 // WriteMetrics renders the session metrics in the Prometheus text
 // exposition format (appended to the jobs metrics by mwcd's /metrics).
 func WriteMetrics(w io.Writer, m Metrics) {
-	g := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
-	}
-	c := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, value)
-	}
+	g, c := httpx.MetricFuncs(w)
 	g("mwcd_session_open", "Dynamic graph sessions currently open.", m.Open)
 	c("mwcd_session_created_total", "Sessions opened.", m.Created)
 	c("mwcd_session_closed_total", "Sessions closed.", m.Closed)

@@ -269,9 +269,7 @@ func AgarwalMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error)
 		return nil, fmt.Errorf("congestmwc: %w", err)
 	}
 	net.SetContext(ctx)
-	if opts.observer != nil {
-		net.SetObserver(opts.observer)
-	}
+	net.SetObserver(opts.observer)
 	res, err := agarwal.MWC(net, agarwal.Spec{})
 	if err != nil {
 		return partialOnCancel(net, err)
@@ -302,9 +300,7 @@ func GirthApxMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error
 		return nil, fmt.Errorf("congestmwc: %w", err)
 	}
 	net.SetContext(ctx)
-	if opts.observer != nil {
-		net.SetObserver(opts.observer)
-	}
+	net.SetObserver(opts.observer)
 	res, err := girthapx.Run(net, girthapx.Spec{SampleFactor: opts.SampleFactor})
 	if err != nil {
 		return partialOnCancel(net, err)

@@ -40,22 +40,18 @@ type (
 	Funcs = congest.Funcs
 	// Stats accumulates rounds, messages and words across runs.
 	Stats = congest.Stats
-	// Observer receives simulation events (see TraceWriter).
+	// Observer receives the Events whose kinds are in its Wants mask.
 	Observer = congest.Observer
-	// RoundObserver is the optional per-round-totals Observer extension.
-	RoundObserver = congest.RoundObserver
-	// RoundStats are one round's totals, delivered to a RoundObserver.
+	// Event is one kind-tagged simulation event; observers must not keep
+	// the pointer past Observe.
+	Event = congest.Event
+	// Kind tags an Event; Mask is a set of kinds.
+	Kind = congest.Kind
+	Mask = congest.Mask
+	// RoundStats are one round's totals, carried by KindRoundEnd events.
 	RoundStats = congest.RoundStats
-	// PhaseObserver is the optional phase-span Observer extension.
-	PhaseObserver = congest.PhaseObserver
-	// RunObserver is the optional run-bracketing Observer extension.
-	RunObserver = congest.RunObserver
-	// MultiObserver fans events out to several observers.
-	MultiObserver = congest.Multi
 	// TraceWriter logs deliveries as compact text.
 	TraceWriter = congest.TraceWriter
-	// CountingObserver tallies events without recording them.
-	CountingObserver = congest.CountingObserver
 	// Collector records per-round series, per-tag/per-link totals and
 	// phase spans, and exports them as JSON/CSV (see docs/OBSERVABILITY.md).
 	Collector = obs.Collector
@@ -64,6 +60,26 @@ type (
 	// TraceJSONL streams every simulation event as JSON lines.
 	TraceJSONL = obs.JSONL
 )
+
+// Event kinds (see the congest package for when each fires) and the mask
+// of all of them.
+const (
+	KindRunStart   = congest.KindRunStart
+	KindRunEnd     = congest.KindRunEnd
+	KindPhaseBegin = congest.KindPhaseBegin
+	KindPhaseEnd   = congest.KindPhaseEnd
+	KindRoundStart = congest.KindRoundStart
+	KindMessage    = congest.KindMessage
+	KindRoundEnd   = congest.KindRoundEnd
+	AllEvents      = congest.AllEvents
+)
+
+// MaskOf returns the mask holding exactly the given kinds.
+func MaskOf(kinds ...Kind) Mask { return congest.MaskOf(kinds...) }
+
+// Multi combines observers into one, forwarding each event to the members
+// that want its kind.
+func Multi(obs ...Observer) Observer { return congest.Multi(obs...) }
 
 // Network is a CONGEST network ready to run Programs.
 type Network struct {

@@ -108,20 +108,38 @@ func TestPublicSimulatorPhases(t *testing.T) {
 	}
 }
 
+// messageCounter is a user-written observer over the public API: it wants
+// deliveries only.
+type messageCounter struct{ messages, other int }
+
+func (c *messageCounter) Wants() sim.Mask { return sim.MaskOf(sim.KindMessage) }
+
+func (c *messageCounter) Observe(ev *sim.Event) {
+	if ev.Kind == sim.KindMessage {
+		c.messages++
+	} else {
+		c.other++
+	}
+}
+
 func TestPublicSimulatorObserver(t *testing.T) {
 	g := pathGraph(t, 4)
 	nw, err := sim.New(g, congestmwc.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counter sim.CountingObserver
-	nw.SetObserver(&counter)
+	counter := &messageCounter{}
+	col := &sim.Collector{}
+	nw.SetObserver(sim.Multi(counter, col))
 	heard := []int{-1, -1, -1, -1}
 	if _, err := nw.RunUniform(&echoFlood{heardAt: heard}); err != nil {
 		t.Fatal(err)
 	}
-	if counter.Messages != nw.Stats().Messages {
-		t.Errorf("observer saw %d, stats %d", counter.Messages, nw.Stats().Messages)
+	if counter.messages != nw.Stats().Messages || col.Messages != nw.Stats().Messages {
+		t.Errorf("observers saw %d and %d messages, stats %d", counter.messages, col.Messages, nw.Stats().Messages)
+	}
+	if counter.other != 0 {
+		t.Errorf("counter was handed %d events outside its mask", counter.other)
 	}
 }
 
