@@ -558,8 +558,16 @@ func BenchmarkCSRHotPath(b *testing.B) {
 // density, weights, seeds) is run by `mwcbench -portfolio -json`, which
 // produced the committed bench/portfolio_baseline.json; the rounds/op
 // figures are deterministic, so scripts/benchgate.go gates them exactly.
-func portfolioBenchGraph(b *testing.B, class Class, maxW int64) *Graph {
-	b.Helper()
+// algo selects the case: girthapx runs on the unweighted class, every other
+// algorithm on the undirected-weighted one with maxW = 16.
+func portfolioBenchGraph(tb testing.TB, algo string) *Graph {
+	tb.Helper()
+	class, maxW := UndirectedWeighted, int64(16)
+	if algo == AlgoNameGirthApx {
+		// The girth approximation's stretched phase is pseudo-polynomial
+		// in the weights; its message-bound profile is the unweighted one.
+		class, maxW = Undirected, 1
+	}
 	r := gen.Random{
 		N: 96, P: 0.15, Seed: 7, MaxW: maxW,
 		Directed: class == Directed || class == DirectedWeighted,
@@ -567,7 +575,7 @@ func portfolioBenchGraph(b *testing.B, class Class, maxW int64) *Graph {
 	}
 	inner, err := r.Graph()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	edges := make([]Edge, 0, inner.M())
 	for _, e := range inner.Edges() {
@@ -575,7 +583,7 @@ func portfolioBenchGraph(b *testing.B, class Class, maxW int64) *Graph {
 	}
 	g, err := NewGraph(96, edges, class)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g
 }
@@ -587,13 +595,7 @@ func portfolioBenchGraph(b *testing.B, class Class, maxW int64) *Graph {
 func BenchmarkPortfolio(b *testing.B) {
 	for _, a := range Portfolio() {
 		a := a
-		class, maxW := UndirectedWeighted, int64(16)
-		if a.Name == AlgoNameGirthApx {
-			// The girth approximation's stretched phase is pseudo-polynomial
-			// in the weights; its message-bound profile is the unweighted one.
-			class, maxW = Undirected, 1
-		}
-		g := portfolioBenchGraph(b, class, maxW)
+		g := portfolioBenchGraph(b, a.Name)
 		b.Run(a.Name, func(b *testing.B) {
 			totalRounds, totalMsgs := 0, 0
 			for i := 0; i < b.N; i++ {

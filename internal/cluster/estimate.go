@@ -18,8 +18,8 @@ import (
 //     dense_apsp (n=64, m=806): 136 rounds, 214 266 messages; the model
 //     gives 191 and 216 653.
 //   - approx on weighted classes: O~(√n·log W) round factor on top of the
-//     hop-bounded BFS layers. Measured wmwc_approx (n=40, m=78, W=1024):
-//     22 134 rounds, 315 741 messages; the model gives 22 785 and 320 768.
+//     hop-bounded BFS layers. Measured wmwc_msgbound (n=40, m=78, W=1024):
+//     20 308 rounds, 157 733 messages; the model gives 20 253 and 157 917.
 //   - approx on unweighted classes: no log W blow-up; a coarse √n·log n
 //     shape (no bench case pins it, so the constants are conservative).
 //
@@ -56,8 +56,8 @@ func (Model) Estimate(in jobs.Info) jobs.CostEstimate {
 	case in.Weighted():
 		// Scaled BFS layers: the √n hop bound times the weight-binary-search
 		// depth, per source batch.
-		rounds = 9 * n * sqrtN * logW
-		messages = 65 * m * sqrtN * logW
+		rounds = 8 * n * sqrtN * logW
+		messages = 32 * m * sqrtN * logW
 	default:
 		rounds = 20*sqrtN*math.Log2(n+2) + 50
 		messages = 8 * m * sqrtN

@@ -92,19 +92,33 @@ func (s *Summary) WriteSeriesCSV(w io.Writer) error {
 	return nil
 }
 
-// WritePhaseTable prints the phase spans as an aligned text table.
+// WritePhaseTable prints the phase spans as an aligned text table. A wall
+// column (milliseconds) is added only when some span carries wall time
+// (Collector.Wall), so tables without it are unchanged.
 func WritePhaseTable(w io.Writer, phases []PhaseSpan) {
 	if len(phases) == 0 {
 		fmt.Fprintln(w, "no phase spans recorded")
 		return
 	}
-	fmt.Fprintf(w, "%-44s %8s %10s %12s %8s\n", "phase", "rounds", "messages", "words", "cut")
+	wall := false
+	for _, p := range phases {
+		wall = wall || p.WallNs > 0
+	}
+	fmt.Fprintf(w, "%-44s %8s %10s %12s %8s", "phase", "rounds", "messages", "words", "cut")
+	if wall {
+		fmt.Fprintf(w, " %10s", "wall_ms")
+	}
+	fmt.Fprintln(w)
 	for _, p := range phases {
 		name := p.Path
 		if p.Open {
 			name += " (open)"
 		}
-		fmt.Fprintf(w, "%-44s %8d %10d %12d %8d\n", name, p.Rounds, p.Messages, p.Words, p.CutWords)
+		fmt.Fprintf(w, "%-44s %8d %10d %12d %8d", name, p.Rounds, p.Messages, p.Words, p.CutWords)
+		if wall {
+			fmt.Fprintf(w, " %10.3f", float64(p.WallNs)/1e6)
+		}
+		fmt.Fprintln(w)
 	}
 }
 

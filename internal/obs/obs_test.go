@@ -236,6 +236,33 @@ func TestSummaryExports(t *testing.T) {
 	}
 }
 
+func TestWritePhaseTableWallColumn(t *testing.T) {
+	phases := []PhaseSpan{
+		{Path: "wmwc:long-cycles", Rounds: 120, Messages: 4500, Words: 9000, CutWords: 7},
+		{Path: "wmwc:short-cycles/level-1", Rounds: 30, Messages: 800, Words: 1600, Open: true},
+	}
+	var buf bytes.Buffer
+	WritePhaseTable(&buf, phases)
+	want := "" +
+		"phase                                          rounds   messages        words      cut\n" +
+		"wmwc:long-cycles                                  120       4500         9000        7\n" +
+		"wmwc:short-cycles/level-1 (open)                   30        800         1600        0\n"
+	if buf.String() != want {
+		t.Errorf("table without wall time:\n%s\nwant:\n%s", buf.String(), want)
+	}
+
+	phases[0].WallNs = 12_345_678
+	buf.Reset()
+	WritePhaseTable(&buf, phases)
+	want = "" +
+		"phase                                          rounds   messages        words      cut    wall_ms\n" +
+		"wmwc:long-cycles                                  120       4500         9000        7     12.346\n" +
+		"wmwc:short-cycles/level-1 (open)                   30        800         1600        0      0.000\n"
+	if buf.String() != want {
+		t.Errorf("table with wall time:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
 func TestJSONLTrace(t *testing.T) {
 	var buf bytes.Buffer
 	j := &JSONL{W: &buf, Words: true}

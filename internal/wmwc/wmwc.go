@@ -22,7 +22,8 @@
 //     taking the stretched lengths as per-arc delays). Some level
 //     i* = ceil(log2 w(C)) fits C within the hop budget with at most
 //     (1+eps) relative error, so the minimum over levels is a
-//     2(1+eps) <= (2+eps')-approximation.
+//     2(1+eps) <= (2+eps')-approximation. Levels run in ascending order
+//     and stop once a known candidate proves i* has already run.
 package wmwc
 
 import (
@@ -87,15 +88,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 				e.From, e.To, e.Weight)
 		}
 	}
-	n := g.N()
-	h := spec.H
-	if h <= 0 {
-		exp := 2.0 / 3.0
-		if g.Directed() {
-			exp = 0.6
-		}
-		h = int(math.Ceil(math.Pow(float64(n), exp)))
-	}
+	h := hopThreshold(g, spec.H)
 	factor := spec.SampleFactor
 	if factor <= 0 {
 		factor = 3
@@ -110,7 +103,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("wmwc: long cycles: %w", err)
 	}
 	net.BeginPhase("wmwc:short-cycles")
-	short, shortCyc, err := shortCycles(net, spec, h, factor, subEps)
+	short, shortCyc, err := shortCycles(net, spec, h, factor, subEps, long)
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("wmwc: short cycles: %w", err)
@@ -132,6 +125,19 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		ShortWeight: short,
 		Rounds:      net.Stats().Rounds - startRounds,
 	}, nil
+}
+
+// hopThreshold resolves Spec.H: h itself when positive, else ceil(n^{2/3})
+// for undirected and ceil(n^{3/5}) for directed graphs.
+func hopThreshold(g *graph.Graph, h int) int {
+	if h > 0 {
+		return h
+	}
+	exp := 2.0 / 3.0
+	if g.Directed() {
+		exp = 0.6
+	}
+	return int(math.Ceil(math.Pow(float64(g.N()), exp)))
 }
 
 // longCycles handles cycles of >= h hops via sampling plus k-source
@@ -287,8 +293,9 @@ func directedWalkCycle(fw, bw *proto.MultiBFSResult, j, s, v int) []int {
 // shortCycles handles cycles of < h hops via scaling and the hop-limited
 // unweighted approximations, returning the global minimum candidate
 // (already unscaled) and the winning level's witness cycle (in the original
-// graph's topology) when one materialised.
-func shortCycles(net *congest.Network, spec Spec, h int, factor, subEps float64) (int64, []int, error) {
+// graph's topology) when one materialised. long is the long-cycle minimum,
+// used with the levels' minima to stop at the last level that can matter.
+func shortCycles(net *congest.Network, spec Spec, h int, factor, subEps float64, long int64) (int64, []int, error) {
 	g := net.Graph()
 	sc, err := graph.NewScaling(h, subEps, g.MaxWeight())
 	if err != nil {
@@ -298,6 +305,14 @@ func shortCycles(net *congest.Network, spec Spec, h int, factor, subEps float64)
 	best := seq.Inf
 	var bestCycle []int
 	for level := 1; level <= sc.Levels(); level++ {
+		// Every candidate weighs at least w*, so once some candidate
+		// weighs at most 2^(level-1), level i* = ceil(log2 w*) has already
+		// run. best and long reached every node through convergecasts, so
+		// all nodes stop here together with no extra rounds (DESIGN.md,
+		// "Stopping the scaling levels early").
+		if covered(min(best, long), level) {
+			break
+		}
 		level := level
 		length := func(a graph.Arc) int64 { return sc.ScaleWeight(a.Weight, level) }
 		var scaled int64
@@ -334,6 +349,15 @@ func shortCycles(net *congest.Network, spec Spec, h int, factor, subEps float64)
 		}
 	}
 	return best, bestCycle, nil
+}
+
+// covered reports whether a cycle of weight w puts i* = ceil(log2 w*)
+// below level, that is w <= 2^(level-1). seq.Inf (no candidate) never does.
+func covered(w int64, level int) bool {
+	if w >= seq.Inf {
+		return false
+	}
+	return level > 63 || w <= int64(1)<<(level-1)
 }
 
 type distPred struct {

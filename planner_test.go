@@ -1,8 +1,10 @@
 package congestmwc
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -262,5 +264,45 @@ func TestPlanZeroWeightFallsBackToExact(t *testing.T) {
 	}
 	if !res.Found || res.Weight != 6 {
 		t.Fatalf("got (%d, %v), want the exact 6", res.Weight, res.Found)
+	}
+}
+
+// TestCostModelCalibration holds the planner's cost model to the committed
+// portfolio baseline: on each case's instance, EstimateRounds must be
+// within a factor of 2 of the measured rounds_per_op. A change that moves
+// an algorithm's rounds past that (or a refit of the constants) shows up
+// here rather than as a silently mis-ranked plan.
+func TestCostModelCalibration(t *testing.T) {
+	raw, err := os.ReadFile("bench/portfolio_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base struct {
+		Cases []struct {
+			Name        string  `json:"name"`
+			RoundsPerOp float64 `json:"rounds_per_op"`
+		} `json:"cases"`
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Cases) != len(Portfolio()) {
+		t.Fatalf("baseline has %d cases, the portfolio %d algorithms", len(base.Cases), len(Portfolio()))
+	}
+	const factor = 2.0
+	for _, c := range base.Cases {
+		a, ok := AlgorithmByName(c.Name)
+		if !ok {
+			t.Errorf("baseline case %q names no registered algorithm", c.Name)
+			continue
+		}
+		f := FeaturesOf(portfolioBenchGraph(t, c.Name))
+		est := a.EstimateRounds(f.Class, f.N, f.M, f.MaxWeight, 0)
+		ratio := est / c.RoundsPerOp
+		t.Logf("%-9s estimate %8.0f  measured %8.0f  ratio %.2f", c.Name, est, c.RoundsPerOp, ratio)
+		if ratio > factor || ratio < 1/factor {
+			t.Errorf("%s: EstimateRounds %.0f vs committed %.0f rounds/op (ratio %.2f, allowed 1/%g..%g)",
+				c.Name, est, c.RoundsPerOp, ratio, factor, factor)
+		}
 	}
 }
