@@ -228,7 +228,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 			}
 		}
 	}
-	for _, rec := range recs[0] {
+	for _, rec := range recs {
 		i, j, d := int(rec[0]), int(rec[1]), rec[2]
 		if d < dSS[i][j] {
 			dSS[i][j] = d

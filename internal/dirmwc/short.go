@@ -319,7 +319,7 @@ func shortCycles(net *congest.Network, sp shortSpec) (int, *shortWitnesses, erro
 		return 0, nil, err
 	}
 	var zs []int
-	for _, rec := range recs[0] {
+	for _, rec := range recs {
 		zs = append(zs, int(rec[0]))
 	}
 	sort.Ints(zs)

@@ -28,8 +28,10 @@
 package girth
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"congestmwc/internal/congest"
@@ -73,9 +75,12 @@ type Result struct {
 	Rounds int
 }
 
+// listEntry is one (field, dist, pred) triple a neighbour sent in
+// exchangeLists.
 type listEntry struct {
-	dist int64
-	pred int32
+	field int32
+	pred  int32
+	dist  int64
 }
 
 // Run executes the girth approximation on an undirected network.
@@ -129,16 +134,13 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("girth: sampled exchange: %w", err)
 	}
 	for x := 0; x < n; x++ {
-		for _, a := range g.Out(x) {
+		for i, a := range g.Out(x) {
 			y := a.To
 			al := length(a)
-			for wi := range w {
+			for _, ey := range recvW[x][i] {
+				wi := int(ey.field)
 				dx := resW.Dist[x][wi]
-				if dx >= seq.Inf {
-					continue
-				}
-				ey, ok := recvW[x][pairKey(y, wi)]
-				if !ok || ey.dist >= seq.Inf {
+				if dx >= seq.Inf || ey.dist >= seq.Inf {
 					continue
 				}
 				// Non-tree condition: the edge (x,y) must not be a pred
@@ -178,7 +180,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	// Phase 2 candidates: edges within neighbourhoods (exact for cycles
 	// contained in all their vertices' neighbourhoods).
 	for x := 0; x < n; x++ {
-		for _, a := range g.Out(x) {
+		for i, a := range g.Out(x) {
 			y := a.To
 			al := length(a)
 			for _, u := range topSets[x] {
@@ -186,7 +188,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 					continue
 				}
 				dx := resN.Dist[x][u]
-				ey, ok := recvN[x][pairKey(y, u)]
+				ey, ok := lookup(recvN[x][i], u)
 				if !ok || ey.dist >= seq.Inf || dx >= seq.Inf {
 					continue
 				}
@@ -202,28 +204,34 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	}
 
 	// Phase 3 candidates (the 2 - 1/g refinement): at each z, combine two
-	// distinct neighbours' list entries for a common source u.
+	// distinct neighbours' list entries for a common source u. arms is
+	// dense over sources; only the touched ones are reset, and they are
+	// visited in ascending u so a tie on the candidate weight always picks
+	// the same witness.
+	type arm struct {
+		d1, d2 int64 // two smallest d(u,x)+len(x,z) over distinct x
+		x1, x2 int
+	}
+	arms := make([]arm, n)
+	for u := range arms {
+		arms[u].x1 = -1
+	}
+	var touched []int
 	for z := 0; z < n; z++ {
-		type arm struct {
-			d1, d2 int64 // two smallest d(u,x)+len(x,z) over distinct x
-			x1, x2 int
-		}
-		arms := make(map[int]*arm)
-		for _, a := range g.Out(z) {
+		touched = touched[:0]
+		for i, a := range g.Out(z) {
 			x := a.To
 			al := length(a)
-			for key, e := range recvN[z] {
-				from, u := keyPair(key)
-				if from != x || e.dist >= seq.Inf {
-					continue
-				}
-				if u == z || u == x || int(e.pred) == z {
+			for _, e := range recvN[z][i] {
+				u := int(e.field)
+				if e.dist >= seq.Inf || u == z || u == x || int(e.pred) == z {
 					continue
 				}
 				c := e.dist + al
-				ar := arms[u]
-				if ar == nil {
-					arms[u] = &arm{d1: c, d2: seq.Inf, x1: x, x2: -1}
+				ar := &arms[u]
+				if ar.x1 < 0 {
+					*ar = arm{d1: c, d2: seq.Inf, x1: x, x2: -1}
+					touched = append(touched, u)
 					continue
 				}
 				switch {
@@ -237,13 +245,16 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 				}
 			}
 		}
-		for u, ar := range arms {
+		slices.Sort(touched)
+		for _, u := range touched {
+			ar := &arms[u]
 			if ar.d2 < seq.Inf {
 				if c := ar.d1 + ar.d2; c < best[z] {
 					best[z] = c
 					wits[z] = witnessInfo{res: resN, src: u, srcV: u, x: ar.x1, y: ar.x2, z: z}
 				}
 			}
+			ar.x1 = -1
 		}
 	}
 
@@ -283,12 +294,6 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	return out, nil
 }
 
-func pairKey(from, field int) int64 { return int64(from)<<32 | int64(field) }
-
-func keyPair(key int64) (from, field int) {
-	return int(key >> 32), int(key & 0xffffffff)
-}
-
 // topSigmaSets extracts, for each node, the field indices of its sigma
 // lexicographically smallest (dist, field) pairs.
 func topSigmaSets(res *proto.MultiBFSResult, sigma int) [][]int {
@@ -325,52 +330,110 @@ func topSigmaSets(res *proto.MultiBFSResult, sigma int) [][]int {
 
 // exchangeLists has every node send (field, dist, pred) for each of its
 // selected fields (all finite fields when sets is nil) to every neighbour,
-// in O(list length) pipelined rounds. Returns recv[v][pairKey(from,field)].
-func exchangeLists(net *congest.Network, res *proto.MultiBFSResult, sets [][]int) ([]map[int64]listEntry, error) {
+// in O(list length) pipelined rounds. Returns recv[v][i]: the entries v
+// received over its i-th Out arc, sorted by field.
+func exchangeLists(net *congest.Network, res *proto.MultiBFSResult, sets [][]int) ([][][]listEntry, error) {
+	g := net.Graph()
 	n := len(res.Dist)
-	recv := make([]map[int64]listEntry, n)
-	for v := range recv {
-		recv[v] = make(map[int64]listEntry)
+	if sets == nil {
+		sets = finiteFields(res)
 	}
-	progs := make([]congest.Program, n)
+	// One arena for every list: the list v receives from neighbour u holds
+	// exactly len(sets[u]) entries, so appends never reallocate.
+	arcs, entries := 0, 0
 	for v := 0; v < n; v++ {
-		v := v
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				fields := fieldsFor(res, sets, v)
-				for _, u := range nd.Neighbors() {
-					for _, f := range fields {
-						nd.SendTag(u, tagListEntry, int64(f), res.Dist[v][f], int64(res.Pred[v][f]))
-					}
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagListEntry {
-					return
-				}
-				f := int(d.Msg.Words[0])
-				recv[v][pairKey(d.From, f)] = listEntry{
-					dist: d.Msg.Words[1],
-					pred: int32(d.Msg.Words[2]),
-				}
-			},
+		for _, a := range g.Out(v) {
+			arcs++
+			entries += len(sets[a.To])
 		}
+	}
+	x := &exchange{res: res, sets: sets, recv: make([][][]listEntry, n)}
+	rows := make([][]listEntry, arcs)
+	arena := make([]listEntry, entries)
+	for v := 0; v < n; v++ {
+		out := g.Out(v)
+		x.recv[v], rows = rows[:len(out):len(out)], rows[len(out):]
+		for i, a := range out {
+			k := len(sets[a.To])
+			x.recv[v][i], arena = arena[:0:k], arena[k:]
+		}
+	}
+	nodes := make([]exchangeNode, n)
+	progs := make([]congest.Program, n)
+	for v := range nodes {
+		nodes[v] = exchangeNode{x: x, v: v}
+		progs[v] = &nodes[v]
 	}
 	if _, err := net.Run(progs, 0); err != nil {
 		return nil, err
 	}
-	return recv, nil
-}
-
-func fieldsFor(res *proto.MultiBFSResult, sets [][]int, v int) []int {
-	if sets != nil {
-		return sets[v]
-	}
-	var fields []int
-	for f, d := range res.Dist[v] {
-		if d < seq.Inf {
-			fields = append(fields, f)
+	// Top-sigma lists arrive in (dist, field) order.
+	for _, lists := range x.recv {
+		for _, l := range lists {
+			slices.SortFunc(l, func(a, b listEntry) int { return cmp.Compare(a.field, b.field) })
 		}
 	}
-	return fields
+	return x.recv, nil
+}
+
+// exchange is the state of one exchangeLists run; node v writes only
+// recv[v].
+type exchange struct {
+	res  *proto.MultiBFSResult
+	sets [][]int
+	recv [][][]listEntry
+}
+
+type exchangeNode struct {
+	congest.Base
+	x *exchange
+	v int
+}
+
+func (p *exchangeNode) Init(nd *congest.Node) {
+	res := p.x.res
+	for _, u := range nd.Neighbors() {
+		for _, f := range p.x.sets[p.v] {
+			nd.SendTag(u, tagListEntry, int64(f), res.Dist[p.v][f], int64(res.Pred[p.v][f]))
+		}
+	}
+}
+
+func (p *exchangeNode) Deliver(nd *congest.Node, d congest.Delivery) {
+	if d.Msg.Tag != tagListEntry {
+		return
+	}
+	// The Out row is sorted by neighbour and, the graph being undirected
+	// and simple, has one arc per neighbour.
+	out := nd.Out()
+	i := sort.Search(len(out), func(i int) bool { return out[i].To >= d.From })
+	lists := p.x.recv[p.v]
+	lists[i] = append(lists[i], listEntry{
+		field: int32(d.Msg.Words[0]),
+		dist:  d.Msg.Words[1],
+		pred:  int32(d.Msg.Words[2]),
+	})
+}
+
+// lookup returns the entry for field f of a list sorted by field.
+func lookup(list []listEntry, f int) (listEntry, bool) {
+	i, ok := slices.BinarySearchFunc(list, int32(f), func(e listEntry, f int32) int { return cmp.Compare(e.field, f) })
+	if !ok {
+		return listEntry{}, false
+	}
+	return list[i], true
+}
+
+// finiteFields returns, for each node, the fields it holds a finite
+// distance for, in ascending order.
+func finiteFields(res *proto.MultiBFSResult) [][]int {
+	out := make([][]int, len(res.Dist))
+	for v, dist := range res.Dist {
+		for f, d := range dist {
+			if d < seq.Inf {
+				out[v] = append(out[v], f)
+			}
+		}
+	}
+	return out
 }

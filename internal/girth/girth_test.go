@@ -1,6 +1,7 @@
 package girth
 
 import (
+	"slices"
 	"testing"
 
 	"congestmwc/internal/congest"
@@ -191,17 +192,6 @@ func TestRunRoundsScaleSublinearly(t *testing.T) {
 	t.Logf("n=200: %d rounds", res.Rounds)
 }
 
-func TestPairKeyRoundTrip(t *testing.T) {
-	for _, from := range []int{0, 1, 999, 1 << 20} {
-		for _, field := range []int{0, 5, 1<<31 - 1} {
-			f, fl := keyPair(pairKey(from, field))
-			if f != from || fl != field {
-				t.Errorf("pairKey(%d,%d) round-tripped to (%d,%d)", from, field, f, fl)
-			}
-		}
-	}
-}
-
 func TestTopSigmaSetsOrderAndSize(t *testing.T) {
 	g := gen.Path(8)
 	net := newNet(t, g, 3)
@@ -351,5 +341,63 @@ func TestRunSigmaOverride(t *testing.T) {
 	if !res.Found || res.Weight > 2*want {
 		t.Errorf("sigma=2: got (%d,%v), want within [%d,%d] (sampled phase must cover)",
 			res.Weight, res.Found, want, 2*want)
+	}
+}
+
+// TestRunRefinementFindsFourCycle pins the (2 - 1/g) refinement: a 4-cycle
+// 6-7-8-9 hangs off the end of the path 0..6. With sigma = 2 every
+// neighbourhood is a vertex and its nearest neighbour, so no list holds the
+// whole cycle, and with a vanishing sample W = {0} the sampled BFS sees the
+// cycle only from distance 6. Only the combination at z = 8 of its
+// neighbours' lists for the common source 6 finds the exact weight 4.
+func TestRunRefinementFindsFourCycle(t *testing.T) {
+	edges := []graph.Edge{{From: 6, To: 7}, {From: 7, To: 8}, {From: 8, To: 9}, {From: 9, To: 6}}
+	for v := 0; v < 6; v++ {
+		edges = append(edges, graph.Edge{From: v, To: v + 1})
+	}
+	g := graph.MustBuild(10, edges, graph.Options{})
+	res, err := Run(newNet(t, g, 1), Spec{Sigma: 2, SampleFactor: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || res.Weight != 4 {
+		t.Fatalf("found=%v weight=%d, want the 4-cycle", res.Found, res.Weight)
+	}
+	if len(res.Cycle) != 4 {
+		t.Errorf("witness %v, want the 4-cycle", res.Cycle)
+	}
+}
+
+// TestRunCycleDeterministic: the witness never depends on host-side
+// iteration order. Five runs of each instance (fresh networks, same seed)
+// return the same weight and the same Cycle; sigma = 3 and weighted
+// lengths make the refinement's candidates, and ties between them, common.
+func TestRunCycleDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		for _, weighted := range []bool{false, true} {
+			g, err := (gen.Random{N: 40, P: 0.08, Weighted: weighted, MaxW: 3, Seed: seed}).Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := Spec{Sigma: 3}
+			if weighted {
+				spec.Length = func(a graph.Arc) int64 { return a.Weight }
+			}
+			var first *Result
+			for rep := 0; rep < 5; rep++ {
+				res, err := Run(newNet(t, g, seed), spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+					continue
+				}
+				if res.Weight != first.Weight || !slices.Equal(res.Cycle, first.Cycle) {
+					t.Fatalf("seed %d weighted=%v run %d: weight %d cycle %v, first run weight %d cycle %v",
+						seed, weighted, rep, res.Weight, res.Cycle, first.Weight, first.Cycle)
+				}
+			}
+		}
 	}
 }

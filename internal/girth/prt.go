@@ -76,15 +76,12 @@ func RunPRT(net *congest.Network, spec Spec) (*Result, error) {
 			wits[i].z = -1
 		}
 		for x := 0; x < n; x++ {
-			for _, a := range g.Out(x) {
+			for i, a := range g.Out(x) {
 				y := a.To
-				for wi := range w {
+				for _, ey := range recvW[x][i] {
+					wi := int(ey.field)
 					dx := resW.Dist[x][wi]
-					if dx >= seq.Inf {
-						continue
-					}
-					ey, ok := recvW[x][pairKey(y, wi)]
-					if !ok || ey.dist >= seq.Inf {
+					if dx >= seq.Inf || ey.dist >= seq.Inf {
 						continue
 					}
 					if int(resW.Pred[x][wi]) == y || int(ey.pred) == x {

@@ -167,7 +167,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 
 	// Step 4: local skeleton APSP (identical at every node; we compute it
 	// once — zero rounds either way).
-	skel := skeletonAPSP(len(sampled), skelEdges[0])
+	skel := skeletonAPSP(len(sampled), skelEdges)
 
 	// Step 5: h-hop distances from the k sources.
 	net.BeginPhase("ksssp:source-bfs")
@@ -203,7 +203,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 			dUS[i][j] = seq.Inf
 		}
 	}
-	for _, rec := range srcToSample[0] {
+	for _, rec := range srcToSample {
 		u, j, d := int(rec[0]), int(rec[1]), rec[2]
 		if d < dUS[u][j] {
 			dUS[u][j] = d

@@ -142,14 +142,66 @@ func (h *pairHeap) pop() pairItem {
 }
 
 // delayedSend is one scheduled (stretched-edge) relaxation. It stores the
-// pair's raw fields rather than a built message so the slice is pointer-free:
-// the per-Tick flush loop copies these structs, and pointer-free structs copy
-// without GC write barriers.
+// pair's raw fields rather than a built message so the heap is pointer-free:
+// its sift loops move these structs without GC write barriers.
 type delayedSend struct {
 	fire  int
+	seq   int // insertion order: sends due in the same round keep it
 	dist  int64
 	to    int32
 	field int32
+}
+
+func (a delayedSend) less(b delayedSend) bool {
+	if a.fire != b.fire {
+		return a.fire < b.fire
+	}
+	return a.seq < b.seq
+}
+
+// sendHeap is a min-heap of delayed sends keyed by (fire, seq), hand-rolled
+// like pairHeap (a generic heap would call less through a dictionary). Tick
+// pops only the due sends, where scanning a flat list cost O(backlog) per
+// Tick.
+type sendHeap []delayedSend
+
+func (h *sendHeap) push(it delayedSend) {
+	s := append(*h, it)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s[i].less(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+func (h *sendHeap) pop() delayedSend {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && s[r].less(s[l]) {
+			l = r
+		}
+		if !s[l].less(s[i]) {
+			break
+		}
+		s[i], s[l] = s[l], s[i]
+		i = l
+	}
+	*h = s
+	return top
 }
 
 type bfsNode struct {
@@ -159,7 +211,8 @@ type bfsNode struct {
 	dist   []int64
 	pred   []int32
 	dirty  pairHeap
-	pends  []delayedSend
+	pends  sendHeap
+	sent   int // delayed sends queued so far: the next one's seq
 	shared *MultiBFSResult
 	// arcs/lens are the node's traversal arcs for spec.Dir and their
 	// effective lengths, resolved once at Init: spec.Length is pure, so
@@ -245,17 +298,12 @@ func (b *bfsNode) rank(d int64, f int32) int {
 
 func (b *bfsNode) Tick(nd *congest.Node) {
 	now := nd.Round()
-	// Flush due delayed sends (stretched-edge simulation).
-	if len(b.pends) > 0 {
-		rest := b.pends[:0]
-		for _, p := range b.pends {
-			if p.fire <= now {
-				nd.SendTag(int(p.to), tagBFSPair, int64(p.field), p.dist)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		b.pends = rest
+	// Flush due delayed sends (stretched-edge simulation), in insertion
+	// order within a round. Each one asked for a wake-up at its fire round
+	// when it was queued, so none needs re-arming here.
+	for len(b.pends) > 0 && b.pends[0].fire <= now {
+		p := b.pends.pop()
+		nd.SendTag(int(p.to), tagBFSPair, int64(p.field), p.dist)
 	}
 	// Forward the smallest still-valid dirty pair. Sends go through SendTag
 	// with inline payloads: Send copies the words into the link arena, so the
@@ -279,7 +327,8 @@ func (b *bfsNode) Tick(nd *congest.Node) {
 				nd.SendTag(a.To, tagBFSPair, int64(it.field), nd2)
 			} else {
 				fire := now + int(length) - 1
-				b.pends = append(b.pends, delayedSend{fire: fire, dist: nd2, to: int32(a.To), field: it.field})
+				b.pends.push(delayedSend{fire: fire, seq: b.sent, dist: nd2, to: int32(a.To), field: it.field})
+				b.sent++
 				nd.WakeAt(fire)
 			}
 		}
@@ -287,16 +336,6 @@ func (b *bfsNode) Tick(nd *congest.Node) {
 	}
 	if len(b.dirty) > 0 {
 		nd.WakeNext()
-	}
-	if len(b.pends) > 0 {
-		// Earliest pending send keeps the node armed.
-		minFire := b.pends[0].fire
-		for _, p := range b.pends[1:] {
-			if p.fire < minFire {
-				minFire = p.fire
-			}
-		}
-		nd.WakeAt(minFire)
 	}
 }
 

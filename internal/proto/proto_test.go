@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -140,24 +141,110 @@ func TestBroadcastDeliversAllRecords(t *testing.T) {
 		values[v] = [][]int64{{int64(v), int64(v * v)}}
 		total++
 	}
+	// Broadcast checks that every node received all records in the root's
+	// order (an error otherwise); the list it returns is that order.
 	out, err := Broadcast(net, tree, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < g.N(); v++ {
-		if len(out[v]) != total {
-			t.Fatalf("node %d received %d records, want %d", v, len(out[v]), total)
+	if len(out) != total {
+		t.Fatalf("received %d records, want %d", len(out), total)
+	}
+	sums := make(map[int64]bool)
+	for _, rec := range out {
+		if rec[1] != rec[0]*rec[0] {
+			t.Fatalf("corrupted record %v", rec)
 		}
-		sums := make(map[int64]bool)
-		for _, rec := range out[v] {
-			if rec[1] != rec[0]*rec[0] {
-				t.Fatalf("node %d: corrupted record %v", v, rec)
+		sums[rec[0]] = true
+	}
+	if len(sums) != total {
+		t.Fatalf("duplicate records")
+	}
+	// The parallel engine runs the handlers that fill and check the one
+	// list on worker goroutines; it must produce the same list.
+	par, err := congest.NewNetwork(g, congest.Options{Seed: 7, Parallel: true, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptree, err := BuildTree(par, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pout, err := Broadcast(par, ptree, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(out, pout, slices.Equal) {
+		t.Errorf("parallel engine broadcast %v, sequential %v", pout, out)
+	}
+}
+
+// TestBroadcastChecksEveryNode breaks the tree two ways and expects an
+// error rather than a silently incomplete broadcast: a Children list that
+// omits a child (its subtree misses every record) and one that names a
+// child twice (the child receives every record twice).
+func TestBroadcastChecksEveryNode(t *testing.T) {
+	g := gen.Grid(3, 4, false, 0, 1)
+	values := make([][][]int64, g.N())
+	for v := range values {
+		values[v] = [][]int64{{int64(v)}}
+	}
+	for _, tc := range []struct {
+		name   string
+		mangle func(children []int) []int
+	}{
+		{"omitted child", func(c []int) []int { return c[1:] }},
+		{"repeated child", func(c []int) []int { return append(c, c[0]) }},
+	} {
+		net := newNet(t, g)
+		tree, err := BuildTree(net, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Broadcast(net, tree, values); err != nil {
+			t.Fatalf("%s: intact tree: %v", tc.name, err)
+		}
+		// Break an inner node below the root, so the root's list is intact
+		// and only the subtree's check can notice.
+		inner := tree.Children[0][0]
+		if len(tree.Children[inner]) == 0 {
+			t.Fatalf("node %d has no children", inner)
+		}
+		tree.Children[inner] = tc.mangle(slices.Clone(tree.Children[inner]))
+		if _, err := Broadcast(net, tree, values); err == nil {
+			t.Errorf("%s: Broadcast returned no error", tc.name)
+		}
+	}
+}
+
+// TestBroadcastAllocsIndependentOfNM: Broadcast keeps one record list, so
+// its allocations do not grow with n*M (no per-node record copies). Same
+// M = 64 records on n = 20 and n = 200.
+func TestBroadcastAllocsIndependentOfNM(t *testing.T) {
+	const m = 64
+	allocs := func(n int) float64 {
+		g := gen.Path(n)
+		net := newNet(t, g)
+		tree, err := BuildTree(net, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := make([][][]int64, n)
+		for i := 0; i < m; i++ {
+			v := i * n / m
+			values[v] = append(values[v], []int64{int64(i), int64(v)})
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Broadcast(net, tree, values); err != nil {
+				t.Fatal(err)
 			}
-			sums[rec[0]] = true
-		}
-		if len(sums) != total {
-			t.Fatalf("node %d: duplicate records", v)
-		}
+		})
+	}
+	small, large := allocs(20), allocs(200)
+	t.Logf("allocs/run: n=20 %.0f, n=200 %.0f", small, large)
+	// One copy per node per record would add 180*64 = 11,520.
+	if large > small+16 {
+		t.Errorf("n=200 allocates %.0f per Broadcast against %.0f at n=20: allocations grow with n*M", large, small)
 	}
 }
 

@@ -16,6 +16,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"congestmwc/internal/congest"
 	"congestmwc/internal/graph"
@@ -115,57 +116,112 @@ func ConvergecastMin(net *congest.Network, tree *Tree, value []int64) (int64, er
 // Broadcast disseminates per-node value records to every node in O(M+D)
 // rounds, where M is the total number of records: records are upcast to the
 // root through the tree (pipelined by the transport) and flooded back down.
-// Every record is a fixed-width word tuple. Returns, for each node, the
-// records it received (every node receives all M records, including its
-// own, in the same canonical order... the order records arrive at the root).
-func Broadcast(net *congest.Network, tree *Tree, values [][][]int64) ([][][]int64, error) {
+// Every record is a word tuple. Every node receives all M records, its own
+// included, in one canonical order: the order they arrive at the root.
+// Broadcast returns that list once; each non-root node checks that its k-th
+// record from its parent equals the k-th canonical record, and a missing,
+// extra or out-of-order record is an error.
+func Broadcast(net *congest.Network, tree *Tree, values [][][]int64) ([][]int64, error) {
 	n := net.Graph().N()
-	out := make([][][]int64, n)
+	m, words := 0, 0
+	for _, recs := range values {
+		m += len(recs)
+		for _, rec := range recs {
+			words += len(rec)
+		}
+	}
+	b := &broadcast{
+		tree:   tree,
+		values: values,
+		recs:   make([][]int64, m),
+		arena:  make([]int64, words),
+		got:    make([]int, n),
+		bad:    make([]int, n),
+	}
+	nodes := make([]broadcastNode, n)
 	progs := make([]congest.Program, n)
-	for v := 0; v < n; v++ {
-		v := v
-		down := func(nd *congest.Node, rec []int64) {
-			// rec may be a delivered payload, valid only inside this
-			// handler — copy before retaining it in the result.
-			cp := make([]int64, len(rec))
-			copy(cp, rec)
-			out[v] = append(out[v], cp)
-			for _, c := range tree.Children[v] {
-				nd.Send(c, congest.Msg{Tag: tagBroadcastVal, Words: cp})
-			}
-		}
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				for _, rec := range values[v] {
-					if v == tree.Root {
-						down(nd, rec)
-						continue
-					}
-					nd.Send(tree.Parent[v], congest.Msg{Tag: tagBroadcastVal, Words: rec})
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagBroadcastVal {
-					return
-				}
-				if tree.Parent[v] >= 0 && d.From != tree.Parent[v] {
-					// Upward-bound record from a child: forward toward root.
-					nd.Send(tree.Parent[v], congest.Msg{Tag: tagBroadcastVal, Words: d.Msg.Words})
-					return
-				}
-				if v == tree.Root {
-					down(nd, d.Msg.Words)
-					return
-				}
-				// From parent: record has been seen by the root, flood down.
-				down(nd, d.Msg.Words)
-			},
-		}
+	for v := range nodes {
+		nodes[v] = broadcastNode{b: b, v: v}
+		progs[v] = &nodes[v]
 	}
 	if _, err := net.Run(progs, 0); err != nil {
 		return nil, fmt.Errorf("broadcast: %w", err)
 	}
-	return out, nil
+	for v := 0; v < n; v++ {
+		switch {
+		case b.bad[v] > 0:
+			return nil, fmt.Errorf("broadcast: node %d: record %d differs from the root's order of %d records", v, b.bad[v]-1, m)
+		case b.got[v] != m:
+			return nil, fmt.Errorf("broadcast: node %d received %d of %d records", v, b.got[v], m)
+		}
+	}
+	return b.recs, nil
+}
+
+// broadcast is the state of one Broadcast run shared by its node programs.
+// The root alone writes recs (into the pre-sized arena, in arrival order);
+// node v alone writes got[v] and bad[v], and reads recs[k] only after
+// receiving its k-th record, which the root wrote in an earlier round.
+type broadcast struct {
+	tree   *Tree
+	values [][][]int64
+	recs   [][]int64
+	arena  []int64
+	used   int   // arena words the root has filled
+	got    []int // records each node has received from its parent (the root: recorded)
+	bad    []int // 1 + index of the node's first wrong record; 0 when none
+}
+
+type broadcastNode struct {
+	congest.Base
+	b *broadcast
+	v int
+}
+
+func (p *broadcastNode) Init(nd *congest.Node) {
+	b := p.b
+	for _, rec := range b.values[p.v] {
+		if p.v == b.tree.Root {
+			p.down(nd, rec)
+			continue
+		}
+		nd.Send(b.tree.Parent[p.v], congest.Msg{Tag: tagBroadcastVal, Words: rec})
+	}
+}
+
+func (p *broadcastNode) Deliver(nd *congest.Node, d congest.Delivery) {
+	if d.Msg.Tag != tagBroadcastVal {
+		return
+	}
+	if parent := p.b.tree.Parent[p.v]; parent >= 0 && d.From != parent {
+		// Upward-bound record from a child: forward toward root.
+		nd.Send(parent, congest.Msg{Tag: tagBroadcastVal, Words: d.Msg.Words})
+		return
+	}
+	// At the root, or from the parent: the root has seen it, flood down.
+	p.down(nd, d.Msg.Words)
+}
+
+// down accepts rec as the node's next record in the canonical order — the
+// root appends it to the list, any other node checks it against the list —
+// and passes it on to the node's children.
+func (p *broadcastNode) down(nd *congest.Node, rec []int64) {
+	b := p.b
+	k := b.got[p.v]
+	b.got[p.v]++
+	switch {
+	case k >= len(b.recs) || p.v != b.tree.Root && !slices.Equal(rec, b.recs[k]):
+		if b.bad[p.v] == 0 {
+			b.bad[p.v] = k + 1
+		}
+	case p.v == b.tree.Root:
+		cp := b.arena[b.used : b.used+len(rec) : b.used+len(rec)]
+		b.used += copy(cp, rec)
+		b.recs[k] = cp
+	}
+	for _, c := range b.tree.Children[p.v] {
+		nd.Send(c, congest.Msg{Tag: tagBroadcastVal, Words: rec})
+	}
 }
 
 // arcsFor returns the arcs along which a node propagates for the given
