@@ -460,6 +460,15 @@ func BenchmarkAblationBandwidth(b *testing.B) {
 	}
 }
 
+// The instances of the two BenchmarkCSRHotPath cases that run a portfolio
+// algorithm (approx's weighted MWC and exact's APSP), shared with
+// TestCostModelCalibration, which prices them against the recorded figures.
+var (
+	csrWMWCMsgBound = gen.Random{N: 40, P: 5.0 / 40, Weighted: true, MaxW: 1024, Seed: 11}
+	csrWMWCEps      = 0.5
+	csrDenseAPSP    = gen.Random{N: 64, P: 0.4, Seed: 7}
+)
+
 // BenchmarkCSRHotPath measures the per-message cost of the simulator's hot
 // path — graph adjacency, transport delivery, handler dispatch — on the
 // three workload profiles the CSR/zero-alloc data layer targets:
@@ -484,8 +493,7 @@ func BenchmarkCSRHotPath(b *testing.B) {
 		{
 			name: "wmwc_msgbound",
 			run: func(b *testing.B, seed int64) (int, int) {
-				g, err := (gen.Random{N: 40, P: 5.0 / 40, Weighted: true,
-					MaxW: 1024, Seed: 11}).Graph()
+				g, err := csrWMWCMsgBound.Graph()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -493,7 +501,7 @@ func BenchmarkCSRHotPath(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := wmwc.Run(net, wmwc.Spec{Eps: 0.5})
+				res, err := wmwc.Run(net, wmwc.Spec{Eps: csrWMWCEps})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -520,7 +528,7 @@ func BenchmarkCSRHotPath(b *testing.B) {
 		{
 			name: "dense_apsp",
 			run: func(b *testing.B, seed int64) (int, int) {
-				g, err := (gen.Random{N: 64, P: 0.4, Seed: 7}).Graph()
+				g, err := csrDenseAPSP.Graph()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -552,40 +560,23 @@ func BenchmarkCSRHotPath(b *testing.B) {
 	}
 }
 
-// portfolioBenchGraph builds the message-bound portfolio profile: a dense
-// random graph at n=96 (p=0.15, ~9x the connectivity threshold) where
-// traffic, not diameter, dominates. Exactly the same profile (class, size,
-// density, weights, seeds) is run by `mwcbench -portfolio -json`, which
-// produced the committed bench/portfolio_baseline.json; the rounds/op
-// figures are deterministic, so scripts/benchgate.go gates them exactly.
-// algo selects the case: girthapx runs on the unweighted class, every other
-// algorithm on the undirected-weighted one with maxW = 16.
+// portfolioBenchGraph builds the named algorithm's instance of the
+// message-bound portfolio profile (gen.PortfolioProfile), the one
+// `mwcbench -portfolio -json` recorded in bench/portfolio_baseline.json;
+// the rounds/op figures are deterministic, so scripts/benchgate.go gates
+// them exactly.
 func portfolioBenchGraph(tb testing.TB, algo string) *Graph {
 	tb.Helper()
-	class, maxW := UndirectedWeighted, int64(16)
-	if algo == AlgoNameGirthApx {
-		// The girth approximation's stretched phase is pseudo-polynomial
-		// in the weights; its message-bound profile is the unweighted one.
-		class, maxW = Undirected, 1
-	}
-	r := gen.Random{
-		N: 96, P: 0.15, Seed: 7, MaxW: maxW,
-		Directed: class == Directed || class == DirectedWeighted,
-		Weighted: class == UndirectedWeighted || class == DirectedWeighted,
-	}
+	r, _ := gen.PortfolioProfile(algo)
 	inner, err := r.Graph()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	edges := make([]Edge, 0, inner.M())
-	for _, e := range inner.Edges() {
-		edges = append(edges, Edge{From: e.From, To: e.To, Weight: e.Weight})
+	class := Undirected
+	if r.Weighted {
+		class = UndirectedWeighted
 	}
-	g, err := NewGraph(96, edges, class)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return g
+	return &Graph{g: inner, class: class}
 }
 
 // BenchmarkPortfolio runs every registered portfolio algorithm on the

@@ -1,13 +1,12 @@
 package main
 
 // The portfolio profile: one case per registered algorithm on a
-// message-bound instance (dense random graph, n=96, p=0.15), emitted in the
-// bench/ baseline JSON schema. The committed bench/portfolio_baseline.json
-// is this command's output; the root BenchmarkPortfolio go-test benchmark
-// runs the identical profile (same class, size, density, weights and
-// seeds), so its rounds/op and messages/op figures are bit-identical to the
-// baseline and scripts/benchgate.go gates them exactly, while ns_per_op is
-// gated with a wall-clock tolerance.
+// message-bound instance (gen.PortfolioProfile), emitted in the bench/
+// baseline JSON schema. The committed bench/portfolio_baseline.json is
+// this command's output; the root BenchmarkPortfolio go-test benchmark
+// runs the same profile, so its rounds/op and messages/op figures are
+// bit-identical to the baseline and scripts/benchgate.go gates them
+// exactly, while ns_per_op is gated with a wall-clock tolerance.
 
 import (
 	"encoding/json"
@@ -21,22 +20,24 @@ import (
 	"congestmwc/internal/gen"
 )
 
-// portfolioGraph mirrors portfolioBenchGraph in the root bench_test.go.
-func portfolioGraph(class congestmwc.Class, maxW int64) (*congestmwc.Graph, error) {
-	r := gen.Random{
-		N: 96, P: 0.15, Seed: 7, MaxW: maxW,
-		Directed: class == congestmwc.Directed || class == congestmwc.DirectedWeighted,
-		Weighted: class == congestmwc.UndirectedWeighted || class == congestmwc.DirectedWeighted,
-	}
+// portfolioGraph builds the named algorithm's instance of the portfolio
+// profile and returns it with the profile's workload text.
+func portfolioGraph(algo string) (*congestmwc.Graph, string, error) {
+	r, workload := gen.PortfolioProfile(algo)
 	inner, err := r.Graph()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	edges := make([]congestmwc.Edge, 0, inner.M())
 	for _, e := range inner.Edges() {
 		edges = append(edges, congestmwc.Edge{From: e.From, To: e.To, Weight: e.Weight})
 	}
-	return congestmwc.NewGraph(96, edges, class)
+	class := congestmwc.Undirected
+	if r.Weighted {
+		class = congestmwc.UndirectedWeighted
+	}
+	g, err := congestmwc.NewGraph(r.N, edges, class)
+	return g, workload, err
 }
 
 // writePortfolioJSON runs every registered portfolio algorithm on the
@@ -57,15 +58,7 @@ func writePortfolioJSON(w *os.File, args []string, reps int) error {
 		},
 	}
 	for _, a := range congestmwc.Portfolio() {
-		class, maxW := congestmwc.UndirectedWeighted, int64(16)
-		workload := "dense random undirected-weighted, n=96, p=0.15, maxW=16, fixed seeds"
-		if a.Name == congestmwc.AlgoNameGirthApx {
-			// The girth approximation's stretched phase is pseudo-polynomial
-			// in the weights; its message-bound profile is the unweighted one.
-			class, maxW = congestmwc.Undirected, 1
-			workload = "dense random undirected unweighted, n=96, p=0.15, fixed seeds"
-		}
-		g, err := portfolioGraph(class, maxW)
+		g, workload, err := portfolioGraph(a.Name)
 		if err != nil {
 			return fmt.Errorf("portfolio %s: %w", a.Name, err)
 		}

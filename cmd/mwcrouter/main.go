@@ -22,8 +22,13 @@
 // their original IDs.
 //
 // -qos-capacity bounds the cluster-wide estimated cost (simulated rounds +
-// messages) in flight at once; -tenant sets per-tenant fair-queueing
-// weights and outstanding-cost quotas as name=weight[:quota].
+// messages, priced by the portfolio registry's cost model) in flight at
+// once; -tenant sets per-tenant fair-queueing weights and outstanding-cost
+// quotas as name=weight[:quota]. For scale: an exact, agarwal or girthapx
+// job on a random n=64 graph prices at 3e4-1e5, a weighted approx job of
+// that size at about 5e5, and an exact job at n=256 at about 2e6, so the
+// example above runs dozens of small jobs at once and holds the batch
+// tenant to about one large job.
 package main
 
 import (

@@ -702,7 +702,7 @@ func TestClusterQoS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cluster.Model{}.Estimate(info).Cost
+		return info.Cost
 	}
 	blocker := ringSpec(2048, 1) // long-running: its cost stays admitted
 	blockerCost := costOf(blocker)
@@ -812,7 +812,7 @@ func TestClusterQoSCancelQueuedReleasesCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cluster.Model{}.Estimate(info).Cost
+		return info.Cost
 	}
 	blocker := ringSpec(2048, 11)
 	blockerCost := costOf(blocker)

@@ -65,8 +65,7 @@ func (r *Router) Handler() http.Handler {
 			httpx.Error(w, http.StatusServiceUnavailable, "no ready workers")
 			return
 		}
-		est := r.est.Estimate(info)
-		release, err := r.qos.Acquire(req.Context(), info.Tenant, est.Cost)
+		release, err := r.qos.Acquire(req.Context(), info.Tenant, info.Cost)
 		if err != nil {
 			writeQoSError(w, err)
 			return
@@ -309,7 +308,7 @@ func (r *Router) submitBatch(req *http.Request, specs []jobs.Spec) jobs.BatchRes
 			resp.Results[i] = item
 			continue
 		}
-		release, err := r.qos.TryAcquire(info.Tenant, r.est.Estimate(info).Cost)
+		release, err := r.qos.TryAcquire(info.Tenant, info.Cost)
 		if err != nil {
 			item.Code, item.Error = http.StatusTooManyRequests, err.Error()
 			resp.Results[i] = item

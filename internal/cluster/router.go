@@ -58,8 +58,6 @@ type Config struct {
 	QoSCapacity float64
 	// Tenants is the per-tenant QoS policy (weight, outstanding quota).
 	Tenants map[string]TenantConfig
-	// Estimator prices jobs for the QoS gate (default Model{}).
-	Estimator jobs.Estimator
 	// Client performs worker requests (default http.DefaultClient).
 	Client *http.Client
 	// Logger receives health and hand-off events (default slog.Default()).
@@ -74,7 +72,6 @@ type Router struct {
 	ring    *Ring
 	workers map[string]*worker
 	qos     *FairQueue
-	est     jobs.Estimator
 	client  *http.Client
 	log     *slog.Logger
 
@@ -148,10 +145,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 3
 	}
-	est := cfg.Estimator
-	if est == nil {
-		est = Model{}
-	}
 	client := cfg.Client
 	if client == nil {
 		client = http.DefaultClient
@@ -166,7 +159,6 @@ func New(cfg Config) (*Router, error) {
 		ring:      ring,
 		workers:   workers,
 		qos:       NewFairQueue(cfg.QoSCapacity, cfg.Tenants),
-		est:       est,
 		client:    client,
 		log:       log,
 		ctx:       ctx,

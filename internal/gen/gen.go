@@ -86,6 +86,23 @@ func (r Random) Graph() (*graph.Graph, error) {
 	return graph.Build(r.N, edges, graph.Options{Directed: r.Directed, Weighted: r.Weighted})
 }
 
+// PortfolioProfile is the message-bound profile of the portfolio
+// benchmark (the root BenchmarkPortfolio and `mwcbench -portfolio`, whose
+// output is bench/portfolio_baseline.json): a dense random graph at n=96
+// (p=0.15, ~9x the connectivity threshold) where traffic, not diameter,
+// dominates. It returns the instance for the named portfolio algorithm
+// and its workload text. girthapx runs on the unweighted class, since its
+// stretched phase is pseudo-polynomial in the weights; every other
+// algorithm runs on the undirected-weighted class with maxW = 16.
+func PortfolioProfile(algo string) (r Random, workload string) {
+	if algo == "girthapx" {
+		return Random{N: 96, P: 0.15, Seed: 7},
+			"dense random undirected unweighted, n=96, p=0.15, fixed seeds"
+	}
+	return Random{N: 96, P: 0.15, Seed: 7, Weighted: true, MaxW: 16},
+		"dense random undirected-weighted, n=96, p=0.15, maxW=16, fixed seeds"
+}
+
 // PlantedCycle describes an instance with a known-weight planted minimum
 // cycle: a sparse random background graph with heavy weights plus one light
 // cycle of a chosen length whose total weight is guaranteed to be the MWC.

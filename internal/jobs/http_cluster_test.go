@@ -94,7 +94,19 @@ func TestHTTPSubmitDuringDrain503(t *testing.T) {
 // valid specs admitted, identical specs coalesced onto one job, invalid
 // specs rejected item-by-item without poisoning the rest.
 func TestHTTPBatchMixed(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 64})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 64})
+
+	// Occupy both workers so item 0 is still queued, and so still in
+	// flight, when its duplicate item 3 is admitted.
+	var blockers []*Job
+	for seed := int64(100); seed < 102; seed++ {
+		b, err := s.Submit(exactRingSpec(2048, seed))
+		if err != nil {
+			t.Fatalf("blocker Submit: %v", err)
+		}
+		waitState(t, b, StateRunning, 30*time.Second)
+		blockers = append(blockers, b)
+	}
 
 	req := BatchRequest{Jobs: []Spec{
 		exactRingSpec(48, 1),
@@ -137,6 +149,11 @@ func TestHTTPBatchMixed(t *testing.T) {
 	}
 	if a, b := br.Results[0].Status.ID, br.Results[3].Status.ID; a != b {
 		t.Errorf("identical specs got distinct jobs %s and %s: batch items must dedup", a, b)
+	}
+	for _, b := range blockers {
+		if _, err := s.Cancel(b.ID()); err != nil {
+			t.Fatalf("Cancel: %v", err)
+		}
 	}
 	for _, i := range []int{0, 2} {
 		st := pollTerminal(t, ts, br.Results[i].Status.ID, time.Minute)

@@ -11,69 +11,31 @@ type Info struct {
 	// Key is the canonical cache key (graph hash + options fingerprint).
 	// Identical work has an identical key, across processes.
 	Key string
-	// Algo, Class, N and M describe the resolved instance.
-	Algo  Algo
-	Class congestmwc.Class
-	N     int
-	M     int
-	// MaxW is the largest edge weight (1 for unweighted classes); the
-	// weighted algorithms' round counts scale with log(MaxW).
-	MaxW int64
 	// Tenant is the spec's tenant attribution (empty = default tenant).
 	Tenant string
-}
-
-// Weighted reports whether the instance is in a weighted class.
-func (i Info) Weighted() bool {
-	return i.Class == congestmwc.UndirectedWeighted || i.Class == congestmwc.DirectedWeighted
+	// Cost is the job's admission weight for fair queueing and tenant
+	// quotas: the resolved algorithm's estimated rounds + messages from
+	// the portfolio registry's cost model.
+	Cost float64
 }
 
 // Inspect validates and resolves the spec without admitting it, returning
-// the canonical key and the instance parameters that drive placement and
-// cost estimation. maxN caps the instance size exactly as Submit does
-// (<= 0 disables). The resolved graph is discarded: callers that also
-// Submit pay the build twice, which is the price of a shared-nothing
+// the canonical key and the estimated cost that drive placement and
+// admission. maxN caps the instance size exactly as Submit does (<= 0
+// disables). The resolved graph is discarded: callers that also Submit
+// pay the build twice, which is the price of a shared-nothing
 // router/worker split.
 func (s Spec) Inspect(maxN int) (Info, error) {
 	r, err := s.resolve(maxN)
 	if err != nil {
 		return Info{}, err
 	}
-	g := r.g
-	info := Info{
-		Key:    cacheKey(g, r.algo, r.opts),
-		Algo:   r.algo,
-		Class:  g.Class(),
-		N:      g.N(),
-		M:      g.M(),
-		MaxW:   1,
+	// resolve has checked the name against the registry.
+	a, _ := congestmwc.AlgorithmByName(string(r.algo))
+	c := a.Estimate(congestmwc.FeaturesOf(r.g), r.opts.Eps)
+	return Info{
+		Key:    cacheKey(r.g, r.algo, r.opts),
 		Tenant: s.Tenant,
-	}
-	if info.Weighted() {
-		for _, e := range g.Edges() {
-			if e.Weight > info.MaxW {
-				info.MaxW = e.Weight
-			}
-		}
-	}
-	return info, nil
-}
-
-// CostEstimate is a predicted per-job simulation cost: expected CONGEST
-// rounds and delivered messages, plus a scalar Cost combining them for
-// admission accounting (weighted fair queueing, tenant quotas).
-type CostEstimate struct {
-	Rounds   float64 `json:"rounds"`
-	Messages float64 `json:"messages"`
-	// Cost is the scalar admission weight of the job (rounds + messages:
-	// both cost simulation wall clock, messages dominate on dense
-	// instances and rounds on gap-heavy ones).
-	Cost float64 `json:"cost"`
-}
-
-// Estimator predicts a job's simulation cost from its admission-time Info.
-// internal/cluster's Model is the calibrated implementation; the seam
-// lives here so the jobs layer and tests can swap in their own.
-type Estimator interface {
-	Estimate(Info) CostEstimate
+		Cost:   c.Rounds + c.Messages,
+	}, nil
 }

@@ -156,7 +156,7 @@ func PlanFeatures(f Features, q Guarantee, opts Options) (Decision, error) {
 	var cands []cand
 	for _, a := range portfolio {
 		if satisfies(a, q, f, eps) {
-			cands = append(cands, cand{a, a.EstimateRounds(f.Class, f.N, f.M, f.MaxWeight, eps)})
+			cands = append(cands, cand{a, a.Estimate(f, eps).Rounds})
 		}
 	}
 	if len(cands) == 0 {

@@ -267,42 +267,87 @@ func TestPlanZeroWeightFallsBackToExact(t *testing.T) {
 	}
 }
 
-// TestCostModelCalibration holds the planner's cost model to the committed
-// portfolio baseline: on each case's instance, EstimateRounds must be
-// within a factor of 2 of the measured rounds_per_op. A change that moves
-// an algorithm's rounds past that (or a refit of the constants) shows up
-// here rather than as a silently mis-ranked plan.
+// TestCostModelCalibration holds the registry's cost model to every
+// committed measurement of a portfolio algorithm: on each case's instance,
+// Estimate's Rounds and Messages must both be within a factor of 2 of the
+// recorded rounds_per_op and messages_per_op. The cases are the four of
+// bench/portfolio_baseline.json and the two bench/csr_hotpath.json cases
+// that run a portfolio algorithm; its scaledsssp_gapbound (a bare scaled
+// SSSP) and TransportRound (one transport round) run none, so the registry
+// has nothing to price them with. A change that moves an algorithm's cost
+// past that (or a refit of the constants) shows up here rather than as a
+// silently mis-ranked plan or a mispriced admission.
 func TestCostModelCalibration(t *testing.T) {
-	raw, err := os.ReadFile("bench/portfolio_baseline.json")
-	if err != nil {
-		t.Fatal(err)
+	type measured struct {
+		Name     string  `json:"name"`
+		Rounds   float64 `json:"rounds_per_op"`
+		Messages float64 `json:"messages_per_op"`
 	}
-	var base struct {
-		Cases []struct {
-			Name        string  `json:"name"`
-			RoundsPerOp float64 `json:"rounds_per_op"`
-		} `json:"cases"`
+	load := func(path string) []measured {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct{ Cases []measured }
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		return file.Cases
 	}
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
+	type calCase struct {
+		measured
+		algo string
+		g    *Graph
+		eps  float64
 	}
-	if len(base.Cases) != len(Portfolio()) {
-		t.Fatalf("baseline has %d cases, the portfolio %d algorithms", len(base.Cases), len(Portfolio()))
+	var cases []calCase
+	port := load("bench/portfolio_baseline.json")
+	if len(port) != len(Portfolio()) {
+		t.Fatalf("baseline has %d cases, the portfolio %d algorithms", len(port), len(Portfolio()))
 	}
+	for _, c := range port {
+		cases = append(cases, calCase{c, c.Name, portfolioBenchGraph(t, c.Name), 0})
+	}
+	csrGraph := func(r gen.Random, class Class) *Graph {
+		g, err := r.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Graph{g: g, class: class}
+	}
+	csr := map[string]calCase{
+		"dense_apsp":    {algo: AlgoNameExact, g: csrGraph(csrDenseAPSP, Undirected)},
+		"wmwc_msgbound": {algo: AlgoNameApprox, g: csrGraph(csrWMWCMsgBound, UndirectedWeighted), eps: csrWMWCEps},
+	}
+	for _, c := range load("bench/csr_hotpath.json") {
+		if cc, ok := csr[c.Name]; ok {
+			cc.measured = c
+			cases = append(cases, cc)
+			delete(csr, c.Name)
+		}
+	}
+	for name := range csr {
+		t.Errorf("bench/csr_hotpath.json lost the %s case", name)
+	}
+
 	const factor = 2.0
-	for _, c := range base.Cases {
-		a, ok := AlgorithmByName(c.Name)
+	for _, c := range cases {
+		a, ok := AlgorithmByName(c.algo)
 		if !ok {
-			t.Errorf("baseline case %q names no registered algorithm", c.Name)
+			t.Errorf("case %q names no registered algorithm", c.Name)
 			continue
 		}
-		f := FeaturesOf(portfolioBenchGraph(t, c.Name))
-		est := a.EstimateRounds(f.Class, f.N, f.M, f.MaxWeight, 0)
-		ratio := est / c.RoundsPerOp
-		t.Logf("%-9s estimate %8.0f  measured %8.0f  ratio %.2f", c.Name, est, c.RoundsPerOp, ratio)
-		if ratio > factor || ratio < 1/factor {
-			t.Errorf("%s: EstimateRounds %.0f vs committed %.0f rounds/op (ratio %.2f, allowed 1/%g..%g)",
-				c.Name, est, c.RoundsPerOp, ratio, factor, factor)
+		est := a.Estimate(FeaturesOf(c.g), c.eps)
+		for _, q := range []struct {
+			what          string
+			est, measured float64
+		}{{"rounds", est.Rounds, c.Rounds}, {"messages", est.Messages, c.Messages}} {
+			ratio := q.est / q.measured
+			t.Logf("%-13s %-8s estimate %9.0f  measured %9.0f  ratio %.2f", c.Name, q.what, q.est, q.measured, ratio)
+			if ratio > factor || ratio < 1/factor {
+				t.Errorf("%s: estimated %.0f %s vs committed %.0f per op (ratio %.2f, allowed 1/%g..%g)",
+					c.Name, q.est, q.what, q.measured, ratio, factor, factor)
+			}
 		}
 	}
 }

@@ -24,7 +24,8 @@ const (
 
 // AlgorithmInfo describes one registered algorithm of the portfolio: which
 // classes it serves, the approximation guarantee it is registered for, and
-// a calibrated round-cost model the planner ranks candidates by.
+// a calibrated cost model that the planner ranks candidates by and QoS
+// admission prices jobs with.
 type AlgorithmInfo struct {
 	// Name is the registry key, used in job specs and CLI flags.
 	Name string
@@ -51,10 +52,12 @@ type AlgorithmInfo struct {
 	// for exact algorithms). The bound is what the oracle registry in
 	// internal/check enforces on every fuzz instance.
 	Ratio func(class Class, eps float64) float64
-	// EstimateRounds is the planner's cost model: a round estimate from
-	// instance features, theorem-shaped with constants calibrated against
-	// the committed bench baselines (bench/portfolio_baseline.json).
-	EstimateRounds func(class Class, n, m int, maxW int64, eps float64) float64
+	// Estimate is the cost model: rounds and messages from instance
+	// features, theorem-shaped with constants calibrated against the
+	// committed bench baselines (bench/portfolio_baseline.json and the
+	// portfolio cases of bench/csr_hotpath.json). The planner ranks by
+	// its Rounds; QoS admission charges Rounds + Messages.
+	Estimate func(f Features, eps float64) Cost
 
 	run func(ctx context.Context, g *Graph, opts Options) (*Result, error)
 }
@@ -87,8 +90,8 @@ var portfolio = []AlgorithmInfo{
 				return 2 + epsOrDefault(eps)
 			}
 		},
-		EstimateRounds: estApprox,
-		run:            ApproxMWCCtx,
+		Estimate: estApprox,
+		run:      ApproxMWCCtx,
 	},
 	{
 		Name:          AlgoNameExact,
@@ -97,10 +100,8 @@ var portfolio = []AlgorithmInfo{
 		Exact:         true,
 		Deterministic: true,
 		Ratio:         func(Class, float64) float64 { return 1 },
-		EstimateRounds: func(c Class, n, m int, maxW int64, eps float64) float64 {
-			return estExact(c, n, m, maxW)
-		},
-		run: ExactMWCCtx,
+		Estimate:      estExact,
+		run:           ExactMWCCtx,
 	},
 	{
 		Name:          AlgoNameAgarwal,
@@ -109,10 +110,8 @@ var portfolio = []AlgorithmInfo{
 		Exact:         true,
 		Deterministic: true,
 		Ratio:         func(Class, float64) float64 { return 1 },
-		EstimateRounds: func(c Class, n, m int, maxW int64, eps float64) float64 {
-			return estAgarwal(c, n, m, maxW)
-		},
-		run: AgarwalMWCCtx,
+		Estimate:      estAgarwal,
+		run:           AgarwalMWCCtx,
 	},
 	{
 		Name:        AlgoNameGirthApx,
@@ -122,10 +121,8 @@ var portfolio = []AlgorithmInfo{
 		// which needs weights >= 1.
 		RejectsZeroWeight: true,
 		Ratio:             func(Class, float64) float64 { return 2 },
-		EstimateRounds: func(c Class, n, m int, maxW int64, eps float64) float64 {
-			return estGirthApx(c, n, m, maxW)
-		},
-		run: GirthApxMWCCtx,
+		Estimate:          estGirthApx,
+		run:               GirthApxMWCCtx,
 	},
 }
 
@@ -134,6 +131,15 @@ func epsOrDefault(eps float64) float64 {
 		return eps
 	}
 	return 0.25
+}
+
+// Cost is a predicted simulation cost: CONGEST rounds and delivered
+// messages. The planner ranks candidates by Rounds; QoS admission charges
+// Rounds + Messages, since both cost simulation wall clock (messages
+// dominate on dense instances, rounds on gap-heavy ones).
+type Cost struct {
+	Rounds   float64
+	Messages float64
 }
 
 // Cost models. Shapes follow the registered round theorems; the leading
@@ -146,61 +152,86 @@ func epsOrDefault(eps float64) float64 {
 // algorithms carry polylog/eps constants that only pay off at n far
 // beyond simulable sizes, so at serving scale the planner prefers the
 // linear-round exact engines for everything the guarantees allow.
+//
+// The message halves are fits to measured messages on random instances
+// (n in {32, 64, 96}, p in {4/n, 0.15}, maxW in {4, ..., 1024}) and are
+// held to the committed portfolio and CSR hot-path cases by
+// TestCostModelCalibration. Every price grows strictly with n, m and, on
+// the weighted classes, the weight range (TestPortfolioRegistryShape):
+// a bigger job never prices below a smaller one under fair queueing.
 
 // estApprox: O~(sqrt(n)+D) undirected, O~(n^{4/5}+D) directed,
-// O~(n^{2/3}+D) and O~(n^{3/5}+D) per scaling level weighted.
-func estApprox(c Class, n, m int, maxW int64, eps float64) float64 {
-	fn := float64(n)
+// O~(n^{2/3}+D) and O~(n^{3/5}+D) per scaling level weighted. Messages
+// do not depend on eps (stretching delays deliveries, it does not add
+// them) and barely on the weights, since the scaling stops at the last
+// level that can still improve the answer.
+func estApprox(f Features, eps float64) Cost {
+	fn, fm := float64(f.N), float64(f.M)
 	lg := math.Log2(fn + 2)
-	levels := math.Log2(float64(maxW)+2) + 1
-	switch c {
+	levels := math.Log2(float64(f.MaxWeight)+2) + 1
+	switch f.Class {
 	case Undirected:
-		return 1.8*math.Sqrt(fn)*lg + 1.2*fn
+		return Cost{1.8*math.Sqrt(fn)*lg + 1.2*fn, 4.6 * fn * fm}
 	case Directed:
-		return 38 * math.Pow(fn, 0.8) * lg
+		return Cost{38 * math.Pow(fn, 0.8) * lg, 16*fn*fn*lg + 3.6*fn*fm}
 	case UndirectedWeighted:
-		return 17 * math.Pow(fn, 2.0/3) * lg * levels / epsOrDefault(eps)
+		return Cost{17 * math.Pow(fn, 2.0/3) * lg * levels / epsOrDefault(eps), (17 + levels) * fn * fm}
 	default: // DirectedWeighted
-		return 42 * math.Pow(fn, 0.6) * lg * levels / epsOrDefault(eps)
+		return Cost{42 * math.Pow(fn, 0.6) * lg * levels / epsOrDefault(eps), (17 + levels) * fn * fm}
 	}
 }
 
-// estExact: one n-source pipelined BFS / Bellman-Ford, O(n + D) rounds;
-// the undirected classes pay double for the O(n) vector exchange.
-func estExact(c Class, n, m int, maxW int64) float64 {
-	fn := float64(n)
-	switch c {
+// estExact: one n-source pipelined BFS / Bellman-Ford, O(n + D) rounds
+// and O(n·m) messages; the undirected classes pay double rounds for the
+// O(n) vector exchange and four messages per edge and source (both
+// directions, both exchanges) against one per arc on directed graphs.
+func estExact(f Features, _ float64) Cost {
+	fn, fm := float64(f.N), float64(f.M)
+	switch f.Class {
 	case Undirected, UndirectedWeighted:
-		return 2.2 * fn
+		return Cost{2.2 * fn, 4.2*fn*fm + weightMessages(f)}
 	default:
-		return 1.1 * fn
+		return Cost{1.1 * fn, 1.05*fn*fm + weightMessages(f)}
 	}
 }
 
 // estAgarwal: sqrt(n) batches of sqrt(n)-source runs. The batch barriers
 // add a sqrt(n) term over the exact baseline while candidate pruning
 // shrinks the linear term (strongly so on directed graphs, where measured
-// rounds grow well below 1*n).
-func estAgarwal(c Class, n, m int, maxW int64) float64 {
-	fn := float64(n)
-	switch c {
-	case Undirected, UndirectedWeighted:
-		return 1.9*fn + 10*math.Sqrt(fn)
+// rounds grow well below 1*n). Pruning cuts the messages to O(sqrt(n)·m)
+// except on the undirected unweighted class, where ties keep every flood
+// alive and the n·m of the exact baseline remains.
+func estAgarwal(f Features, _ float64) Cost {
+	fn, fm := float64(f.N), float64(f.M)
+	sq := math.Sqrt(fn)
+	switch f.Class {
+	case Undirected:
+		return Cost{1.9*fn + 10*sq, 3.5*fn*fm + weightMessages(f)}
+	case UndirectedWeighted:
+		return Cost{1.9*fn + 10*sq, 11.5*sq*fm + weightMessages(f)}
 	default:
-		return 0.8*fn + 8*math.Sqrt(fn)
+		return Cost{0.8*fn + 8*sq, 2.1*sq*fm + weightMessages(f)}
 	}
 }
 
 // estGirthApx: one sampled exact SSSP pass (sqrt(n) log n sources) plus
 // the sigma-detection BFS, whose stretched simulation scales with the
-// weight magnitude on weighted graphs.
-func estGirthApx(c Class, n, m int, maxW int64) float64 {
-	fn := float64(n)
+// weight magnitude on weighted graphs. Messages are the detection BFS's
+// O(n·m) on both classes.
+func estGirthApx(f Features, _ float64) Cost {
+	fn, fm := float64(f.N), float64(f.M)
 	lg := math.Log2(fn + 2)
-	if c == UndirectedWeighted {
-		return 0.9*math.Sqrt(fn)*(lg+float64(maxW)) + 0.5*fn
+	if f.Class == UndirectedWeighted {
+		return Cost{0.9*math.Sqrt(fn)*(lg+float64(f.MaxWeight)) + 0.5*fn, 4.6 * fn * fm}
 	}
-	return 1.8*math.Sqrt(fn)*lg + 1.2*fn
+	return Cost{1.8*math.Sqrt(fn)*lg + 1.2*fn, 4.6 * fn * fm}
+}
+
+// weightMessages is the n·log W term of the exact engines' message
+// models, whose rounds do not depend on the weights: on weighted
+// instances a node re-sends a source's distance each time it improves.
+func weightMessages(f Features) float64 {
+	return float64(f.N) * math.Log2(float64(f.MaxWeight)+1)
 }
 
 // Portfolio returns a copy of the registered algorithm descriptors.

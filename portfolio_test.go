@@ -23,7 +23,7 @@ func TestPortfolioRegistryShape(t *testing.T) {
 		}
 	}
 	for _, a := range Portfolio() {
-		if a.Description == "" || len(a.Classes) == 0 || a.Ratio == nil || a.EstimateRounds == nil || a.run == nil {
+		if a.Description == "" || len(a.Classes) == 0 || a.Ratio == nil || a.Estimate == nil || a.run == nil {
 			t.Fatalf("incomplete registry entry %q", a.Name)
 		}
 		for _, c := range a.Classes {
@@ -34,10 +34,39 @@ func TestPortfolioRegistryShape(t *testing.T) {
 			if a.Exact && r != 1 {
 				t.Fatalf("%q is marked exact but registers ratio %v on %s", a.Name, r, c)
 			}
-			if est := a.EstimateRounds(c, 64, 256, 8, 0); !(est > 0) || math.IsInf(est, 0) {
-				t.Fatalf("%q estimates %v rounds on %s", a.Name, est, c)
+			// Fair queueing rests on the price: positive, finite, and
+			// strictly growing with every size parameter (a bigger job
+			// may never price below a smaller one).
+			base := Features{Class: c, N: 64, M: 256, MaxWeight: 8}
+			est := a.Estimate(base, 0)
+			if !(est.Rounds > 0) || !(est.Messages > 0) || math.IsInf(est.Rounds+est.Messages, 0) {
+				t.Fatalf("%q estimates %+v on %s", a.Name, est, c)
+			}
+			cost := func(f Features) float64 {
+				e := a.Estimate(f, 0)
+				return e.Rounds + e.Messages
+			}
+			grow := map[string]Features{
+				"n": {Class: c, N: 128, M: 256, MaxWeight: 8},
+				"m": {Class: c, N: 64, M: 512, MaxWeight: 8},
+			}
+			if c == UndirectedWeighted || c == DirectedWeighted {
+				grow["maxW"] = Features{Class: c, N: 64, M: 256, MaxWeight: 4096}
+			}
+			for what, f := range grow {
+				if cost(f) <= cost(base) {
+					t.Errorf("%q on %s: cost %.0f did not grow with %s (base %.0f)", a.Name, c, cost(f), what, cost(base))
+				}
 			}
 		}
+	}
+	// The weighted approximation pays for scaling levels the unweighted
+	// run does not.
+	approx, _ := AlgorithmByName(AlgoNameApprox)
+	uw := approx.Estimate(Features{Class: Undirected, N: 64, M: 256, MaxWeight: 1}, 0)
+	w := approx.Estimate(Features{Class: UndirectedWeighted, N: 64, M: 256, MaxWeight: 64}, 0)
+	if uw.Rounds+uw.Messages >= w.Rounds+w.Messages {
+		t.Error("unweighted approx priced at or above weighted approx of the same size")
 	}
 	if _, ok := AlgorithmByName("nope"); ok {
 		t.Fatal("unknown name resolved")
